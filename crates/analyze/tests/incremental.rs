@@ -200,3 +200,35 @@ fn rejected_cycles_actually_occur_in_the_generator() {
         "generator never produced a cycle-closing edit"
     );
 }
+
+/// ECO edits obey the fan-in cap like the readers do: a 257-input gate
+/// is refused with `BadFanin` and leaves the netlist untouched.
+#[test]
+fn eco_edits_reject_fanin_above_the_cap() {
+    let n = random_combinational(4, 12, 3);
+    let mut cache = AnalysisCache::new(&n).unwrap();
+    let before = cache.netlist().clone();
+    let wide = vec![GateId::from_index(0); dft_netlist::MAX_FANIN + 1];
+    let target = n.ids().find(|&g| !n.gate(g).kind().is_source()).unwrap();
+    for delta in [
+        NetlistDelta::AddGate {
+            kind: GateKind::Or,
+            inputs: wide.clone(),
+        },
+        NetlistDelta::ReplaceGate {
+            gate: target,
+            kind: GateKind::And,
+            inputs: wide.clone(),
+        },
+    ] {
+        let err = cache.apply(&delta).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DeltaError::Netlist(dft_netlist::NetlistError::BadFanin { got: 257, .. })
+            ),
+            "{err}"
+        );
+        assert_eq!(cache.netlist(), &before);
+    }
+}

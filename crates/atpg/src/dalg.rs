@@ -258,9 +258,7 @@ impl DalgSolver<'_, '_> {
                         .iter()
                         .enumerate()
                         .map(|(p, &s)| {
-                            if self.fault.site.gate == id
-                                && self.fault.site.pin == Pin::Input(p as u8)
-                            {
+                            if self.fault.site.gate == id && self.fault.site.pin == Pin::input(p) {
                                 Logic::from(self.fault.stuck)
                             } else {
                                 faulty[s.index()]
@@ -462,7 +460,7 @@ impl DalgSolver<'_, '_> {
                     && gate.inputs().iter().enumerate().any(|(p, &s)| {
                         let gv = good[s.index()];
                         let fv = if self.fault.site.gate == *id
-                            && self.fault.site.pin == Pin::Input(p as u8)
+                            && self.fault.site.pin == Pin::input(p)
                         {
                             Logic::from(self.fault.stuck)
                         } else {
@@ -506,9 +504,7 @@ impl DalgSolver<'_, '_> {
             for (p, &s) in gate.inputs().iter().enumerate() {
                 let is_d_pin = {
                     let gv = good[s.index()];
-                    let fv = if self.fault.site.gate == g
-                        && self.fault.site.pin == Pin::Input(p as u8)
-                    {
+                    let fv = if self.fault.site.gate == g && self.fault.site.pin == Pin::input(p) {
                         Logic::from(self.fault.stuck)
                     } else {
                         faulty[s.index()]

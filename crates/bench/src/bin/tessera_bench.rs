@@ -724,7 +724,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &cfg.atpg_baseline {
-        check_atpg_baseline(path, &scaling);
+        check_atpg_baseline(path, cfg.quick, &atpg, &scaling);
     }
 
     if let Some(path) = &cfg.fault_sim_baseline {
@@ -1159,48 +1159,126 @@ fn extract_after<'t>(text: &'t str, from: usize, key: &str) -> Option<&'t str> {
     Some(rest[..end].trim())
 }
 
-/// Fails the run (exit 1) if any roster circuit's ATPG flow needs more
-/// patterns or reaches lower coverage than the committed baseline, with
-/// a small tolerance (+2 patterns, -0.001 coverage) so timing-neutral
-/// churn does not trip it. Circuits absent from the baseline (e.g. a
-/// full-roster circuit vs a `--quick` baseline) are skipped.
-fn check_atpg_baseline(path: &str, scaling: &FlowScaling) {
+/// Reports a baseline that cannot be read as intended and exits 1.
+fn bad_baseline(path: &str, what: &str) -> ! {
+    eprintln!("BASELINE ERROR: {path}: {what}");
+    std::process::exit(1)
+}
+
+/// Fails the run (exit 1) against a committed `BENCH_atpg.json`, parsed
+/// with `dft-json` (a malformed or incomplete baseline exits 1 too).
+/// ATPG is deterministic, so its effort must match exactly: each shared
+/// pruning record's backtracks (implications off and on), and — when the
+/// baseline was made in the same `--quick` mode — each `flow_scaling`
+/// row's attempts and pattern hash. The flow records keep a small
+/// tolerance (+2 patterns, -0.001 coverage). Circuits absent from the
+/// baseline (e.g. a full-roster circuit vs a `--quick` baseline) are
+/// skipped.
+fn check_atpg_baseline(path: &str, quick: bool, atpg: &[AtpgRecord], scaling: &FlowScaling) {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read ATPG baseline {path}: {e}"));
-    let flow_at = text
-        .find("\"flow_records\"")
-        .expect("baseline has no flow_records section");
+        .unwrap_or_else(|e| bad_baseline(path, &format!("cannot read: {e}")));
+    let doc = dft_json::parse(&text)
+        .unwrap_or_else(|e| bad_baseline(path, &format!("malformed JSON: {e}")));
+    let rows = |key: &str| -> &[dft_json::Value] {
+        doc.get(key)
+            .and_then(dft_json::Value::as_array)
+            .unwrap_or_else(|| bad_baseline(path, &format!("no {key} array")))
+    };
+    let find = |key: &str, field: &str, name: &str| {
+        rows(key)
+            .iter()
+            .find(|r| r.get(field).and_then(dft_json::Value::as_str) == Some(name))
+    };
+    let number = |row: &dft_json::Value, keys: &[&str]| -> f64 {
+        keys.iter()
+            .try_fold(row, |v, k| v.get(k))
+            .and_then(dft_json::Value::as_f64)
+            .unwrap_or_else(|| bad_baseline(path, &format!("record lacks {}", keys.join("."))))
+    };
     let mut failed = false;
+    let mut mismatch = |what: String| {
+        eprintln!("BASELINE REGRESSION: {what}");
+        failed = true;
+    };
+
+    for r in atpg {
+        let Some(base) = find("records", "circuit", r.circuit) else {
+            eprintln!(
+                "baseline gate: pruning record {} not in baseline, skipped",
+                r.circuit
+            );
+            continue;
+        };
+        for (mode, run) in [
+            ("without_implications", &r.without),
+            ("with_implications", &r.with),
+        ] {
+            let want = number(base, &[mode, "backtracks"]);
+            if run.backtracks as f64 != want {
+                mismatch(format!(
+                    "{} {mode} backtracks {} != baseline {want}",
+                    r.circuit, run.backtracks
+                ));
+            }
+        }
+    }
     for r in &scaling.records {
-        let needle = format!("\"circuit\": \"{}\"", r.circuit);
-        let Some(at) = text[flow_at..].find(&needle).map(|i| i + flow_at) else {
+        let Some(base) = find("flow_records", "circuit", r.circuit) else {
             eprintln!("baseline gate: {} not in baseline, skipped", r.circuit);
             continue;
         };
-        let base_patterns: usize = extract_after(&text, at, "\"patterns\":")
-            .and_then(|v| v.parse().ok())
-            .expect("baseline flow record has patterns");
-        let base_coverage: f64 = extract_after(&text, at, "\"coverage\":")
-            .and_then(|v| v.parse().ok())
-            .expect("baseline flow record has coverage");
-        if r.patterns > base_patterns + 2 {
-            eprintln!(
-                "BASELINE REGRESSION: {} pattern count {} > baseline {} (+2 tolerance)",
-                r.circuit, r.patterns, base_patterns
-            );
-            failed = true;
+        let base_patterns = number(base, &["patterns"]);
+        let base_coverage = number(base, &["coverage"]);
+        if r.patterns as f64 > base_patterns + 2.0 {
+            mismatch(format!(
+                "{} pattern count {} > baseline {base_patterns} (+2 tolerance)",
+                r.circuit, r.patterns
+            ));
         }
         if r.coverage < base_coverage - 1e-3 {
-            eprintln!(
-                "BASELINE REGRESSION: {} coverage {:.4} < baseline {:.4} (-0.001 tolerance)",
-                r.circuit, r.coverage, base_coverage
-            );
-            failed = true;
+            mismatch(format!(
+                "{} coverage {:.4} < baseline {base_coverage:.4} (-0.001 tolerance)",
+                r.circuit, r.coverage
+            ));
         }
     }
+    let base_quick = doc
+        .get("quick")
+        .and_then(dft_json::Value::as_bool)
+        .unwrap_or_else(|| bad_baseline(path, "no quick flag"));
+    if base_quick == quick {
+        for r in &scaling.rows {
+            let Some(base) = find("flow_scaling", "config", r.config) else {
+                eprintln!(
+                    "baseline gate: scaling row {} not in baseline, skipped",
+                    r.config
+                );
+                continue;
+            };
+            let hash = format!("{:#018x}", r.hash);
+            let base_hash = base
+                .get("pattern_hash")
+                .and_then(dft_json::Value::as_str)
+                .unwrap_or_else(|| bad_baseline(path, "flow_scaling row lacks pattern_hash"));
+            if hash != base_hash {
+                mismatch(format!(
+                    "{} pattern hash {hash} != baseline {base_hash}",
+                    r.config
+                ));
+            }
+            let base_attempts = number(base, &["attempts"]);
+            if r.attempts as f64 != base_attempts {
+                mismatch(format!(
+                    "{} attempts {} != baseline {base_attempts}",
+                    r.config, r.attempts
+                ));
+            }
+        }
+    } else {
+        eprintln!("baseline gate: baseline made in another --quick mode, scaling rows skipped");
+    }
     if !scaling.identical {
-        eprintln!("BASELINE REGRESSION: pattern sets differ across thread counts");
-        failed = true;
+        mismatch("pattern sets differ across thread counts".into());
     }
     if failed {
         std::process::exit(1);

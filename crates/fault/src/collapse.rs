@@ -143,7 +143,7 @@ pub fn collapse(netlist: &Netlist, faults: &[Fault]) -> Collapse {
                 merge(
                     &mut uf,
                     Fault {
-                        site: PortRef::input(id, pin as u8),
+                        site: PortRef::new(id, Pin::input(pin)),
                         stuck: c,
                     },
                     Fault {
@@ -446,7 +446,7 @@ pub fn dominance_collapse(netlist: &Netlist, faults: &[Fault]) -> DominanceColla
         let mut found = None;
         for pin in 0..gate.fanin() {
             let witness = Fault {
-                site: PortRef::input(rep.site.gate, pin as u8),
+                site: PortRef::new(rep.site.gate, Pin::input(pin)),
                 stuck: !c,
             };
             let Some(&wi) = universe_index.get(&witness) else {

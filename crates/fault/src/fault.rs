@@ -68,7 +68,7 @@ pub fn universe(netlist: &Netlist) -> Vec<Fault> {
                 for pin in 0..gate.fanin() {
                     for stuck in [false, true] {
                         faults.push(Fault {
-                            site: PortRef::input(id, pin as u8),
+                            site: PortRef::new(id, Pin::input(pin)),
                             stuck,
                         });
                     }
@@ -100,6 +100,21 @@ mod tests {
     use super::*;
     use dft_netlist::circuits::c17;
     use dft_netlist::{GateKind, Netlist};
+
+    #[test]
+    fn widest_gate_universe_has_no_aliased_pins() {
+        // 256 inputs is the fan-in cap: every pin is its own site.
+        let mut n = Netlist::new("wide");
+        let ins: Vec<_> = (0..dft_netlist::MAX_FANIN)
+            .map(|i| n.add_input(format!("x{i}")))
+            .collect();
+        let y = n.add_gate(GateKind::Or, &ins).unwrap();
+        n.mark_output(y, "y").unwrap();
+        let faults = universe(&n);
+        assert_eq!(faults.len(), 2 * 256 + 2 * 256 + 2);
+        let distinct: std::collections::HashSet<_> = faults.iter().collect();
+        assert_eq!(distinct.len(), faults.len());
+    }
 
     #[test]
     fn two_input_gate_network_matches_paper_count() {

@@ -91,7 +91,7 @@ impl<'n> FaultyView<'n> {
                 // `dft_sim::word::fold_word`.
                 let operand = |(pin, src): (usize, &dft_netlist::GateId)| -> u64 {
                     match fault {
-                        Some(f) if f.site.gate == id && f.site.pin == Pin::Input(pin as u8) => {
+                        Some(f) if f.site.gate == id && f.site.pin == Pin::input(pin) => {
                             Self::force(f.stuck)
                         }
                         _ => vals[src.index()],
@@ -154,7 +154,7 @@ impl<'n> FaultyView<'n> {
                 // Operand gather with the one faulted pin substituted.
                 let operand = |(pin, src): (usize, &dft_netlist::GateId)| -> [u64; W] {
                     match fault {
-                        Some(f) if f.site.gate == id && f.site.pin == Pin::Input(pin as u8) => {
+                        Some(f) if f.site.gate == id && f.site.pin == Pin::input(pin) => {
                             stuck_wide::<W>(f.stuck)
                         }
                         _ => vals[src.index()],
@@ -210,7 +210,7 @@ impl<'n> FaultyView<'n> {
             buf.clear();
             for (pin, &src) in gate.inputs().iter().enumerate() {
                 let v = match fault {
-                    Some(f) if f.site.gate == id && f.site.pin == Pin::Input(pin as u8) => {
+                    Some(f) if f.site.gate == id && f.site.pin == Pin::input(pin) => {
                         Logic::from(f.stuck)
                     }
                     _ => vals[src.index()],

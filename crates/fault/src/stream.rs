@@ -229,7 +229,7 @@ impl<'n> CollapsedUniverse<'n> {
                 });
                 for pin in 0..gate.fanin() {
                     let inp = index_of(Fault {
-                        site: PortRef::input(id, pin as u8),
+                        site: PortRef::new(id, Pin::input(pin)),
                         stuck: c,
                     });
                     if let (Some(a), Some(b)) = (inp, out) {

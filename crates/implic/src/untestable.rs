@@ -327,7 +327,7 @@ mod tests {
                 );
                 for p in 0..gate.fanin() {
                     assert_eq!(
-                        e.fault_untestable(id, Pin::Input(p as u8), stuck),
+                        e.fault_untestable(id, Pin::input(p), stuck),
                         None,
                         "c17 is fully testable"
                     );

@@ -653,7 +653,7 @@ impl Rule for RedundantLogic {
                 continue;
             }
             let mut pins: Vec<Pin> = vec![Pin::Output];
-            pins.extend((0..gate.fanin()).map(|p| Pin::Input(p as u8)));
+            pins.extend((0..gate.fanin()).map(Pin::input));
             let mut witness = None;
             let all_untestable = pins.iter().all(|&pin| {
                 [false, true]

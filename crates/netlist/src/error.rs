@@ -50,13 +50,15 @@ impl fmt::Display for NetlistError {
         match self {
             NetlistError::BadFanin { kind, got } => {
                 let (min, max) = kind.fanin_range();
-                if max == usize::MAX {
-                    write!(f, "gate kind {kind} requires fan-in >= {min}, got {got}")
-                } else {
+                if min == max {
                     write!(
                         f,
                         "gate kind {kind} requires fan-in {min}..={max}, got {got}"
                     )
+                } else if *got < min {
+                    write!(f, "gate kind {kind} requires fan-in >= {min}, got {got}")
+                } else {
+                    write!(f, "gate kind {kind} requires fan-in <= {max}, got {got}")
                 }
             }
             NetlistError::UnknownGate(id) => write!(f, "gate {id} does not exist"),

@@ -4,6 +4,10 @@ use std::fmt;
 
 use crate::GateId;
 
+/// The widest fan-in a gate may have: input pins are addressed by a `u8`
+/// ([`Pin::Input`](crate::Pin::Input)), so pin 256 would alias pin 0.
+pub const MAX_FANIN: usize = 256;
+
 /// The primitive gate alphabet of the netlist model.
 ///
 /// This is the gate set the paper reasons about: simple bounded-fan-in
@@ -14,7 +18,7 @@ use crate::GateId;
 /// |------|--------|
 /// | `Input`, `Const0`, `Const1` | 0 |
 /// | `Buf`, `Not`, `Dff` | 1 |
-/// | `And`, `Or`, `Nand`, `Nor`, `Xor`, `Xnor` | ≥ 2 |
+/// | `And`, `Or`, `Nand`, `Nor`, `Xor`, `Xnor` | 2..=[`MAX_FANIN`] |
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GateKind {
     /// A primary input (no fan-in; value supplied by the environment).
@@ -66,13 +70,13 @@ impl GateKind {
 
     /// Returns the valid fan-in range `(min, max)` for this kind.
     ///
-    /// `max` is `usize::MAX` for gates with unbounded fan-in.
+    /// `max` is [`MAX_FANIN`] for the multi-input kinds.
     #[must_use]
     pub fn fanin_range(self) -> (usize, usize) {
         match self {
             GateKind::Input | GateKind::Const0 | GateKind::Const1 => (0, 0),
             GateKind::Buf | GateKind::Not | GateKind::Dff => (1, 1),
-            _ => (2, usize::MAX),
+            _ => (2, MAX_FANIN),
         }
     }
 

@@ -55,10 +55,24 @@ impl fmt::Display for GateId {
 /// [`PortRef`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Pin {
-    /// The `i`-th input pin of the gate (0-based).
+    /// The `i`-th input pin of the gate (0-based). A `u8` suffices
+    /// because fan-in is capped at [`MAX_FANIN`](crate::MAX_FANIN).
     Input(u8),
     /// The gate's output pin.
     Output,
+}
+
+impl Pin {
+    /// Input pin `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`MAX_FANIN`](crate::MAX_FANIN), which
+    /// no gate of a [`Netlist`](crate::Netlist) can reach.
+    #[must_use]
+    pub fn input(i: usize) -> Pin {
+        Pin::Input(u8::try_from(i).expect("input pin index below MAX_FANIN"))
+    }
 }
 
 impl fmt::Display for Pin {

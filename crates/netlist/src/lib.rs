@@ -57,7 +57,7 @@ mod level;
 mod netlist;
 
 pub use error::{NetlistError, ParseBenchError, ParseBlifError};
-pub use gate::{Gate, GateKind};
+pub use gate::{Gate, GateKind, MAX_FANIN};
 pub use id::{GateId, Pin, PortRef};
 pub use level::{Levelization, LevelizeError};
 pub use netlist::{MemoryFootprint, Netlist, NetlistStats};
