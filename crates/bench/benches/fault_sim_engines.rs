@@ -1,10 +1,10 @@
-//! Criterion bench: the combinational fault-simulation engines on one
-//! workload (supports experiment E2's cost discussion — §I-B calls fault
+//! Criterion bench: the two combinational fault-simulation engines — the
+//! serial reference and PPSFP — on one workload (supports experiment E2's cost discussion — §I-B calls fault
 //! simulation "a very time-consuming, and hence, expensive task"). For
 //! the multi-circuit throughput matrix use the `tessera-bench` binary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dft_fault::{deductive, parallel_fault, ppsfp, simulate, universe};
+use dft_fault::{ppsfp, simulate, universe};
 use dft_netlist::circuits::random_combinational;
 use dft_sim::PatternSet;
 use rand::rngs::StdRng;
@@ -20,12 +20,6 @@ fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("fault_sim");
     group.bench_function("pattern_parallel", |b| {
         b.iter(|| simulate(black_box(&n), black_box(&patterns), black_box(&faults)))
-    });
-    group.bench_function("parallel_fault_63", |b| {
-        b.iter(|| parallel_fault(black_box(&n), black_box(&patterns), black_box(&faults)))
-    });
-    group.bench_function("deductive", |b| {
-        b.iter(|| deductive(black_box(&n), black_box(&patterns), black_box(&faults)))
     });
     group.bench_function("ppsfp", |b| {
         b.iter(|| ppsfp(black_box(&n), black_box(&patterns), black_box(&faults)))

@@ -61,8 +61,8 @@ use dft_atpg::{
 use dft_bench::cli::{envelope, Format, ToolExit};
 use dft_bench::{eng, exhaustive_patterns, print_table};
 use dft_fault::{
-    dominance_collapse, prefilter_untestable, universe, DeductiveEngine, DetectionResult,
-    FaultSimEngine, ParallelFaultEngine, PpsfpEngine, PpsfpOptions, SerialEngine, SerialOptions,
+    dominance_collapse, prefilter_untestable, universe, DetectionResult, FaultSimEngine,
+    PpsfpEngine, PpsfpOptions, SerialEngine, SerialOptions,
 };
 use dft_netlist::circuits::{c17, random_combinational, redundant_fixture};
 use dft_netlist::{GateId, GateKind, Netlist};
@@ -189,13 +189,10 @@ struct Workload {
     name: &'static str,
     netlist: Netlist,
     patterns: PatternSet,
-    /// Deductive simulation is O(patterns × gates × fanin × list size)
-    /// with no dropping; it is skipped where it would dominate runtime.
-    run_deductive: bool,
-    /// Run the full-work baselines (`serial_nodrop`, `parallel_fault`)
-    /// too. Off for the largest rung, where each would add tens of
-    /// seconds of O(faults × patterns × gates) measurement without
-    /// informing the headline serial-vs-PPSFP comparison.
+    /// Run the full-work baseline (`serial_nodrop`) too. Off for the
+    /// largest rung, where it would add tens of seconds of
+    /// O(faults × patterns × gates) measurement without informing the
+    /// headline serial-vs-PPSFP comparison.
     run_slow_baselines: bool,
 }
 
@@ -205,14 +202,12 @@ fn roster(quick: bool) -> Vec<Workload> {
             name: "c17",
             netlist: c17(),
             patterns: exhaustive_patterns(5),
-            run_deductive: true,
             run_slow_baselines: true,
         },
         Workload {
             name: "rand_16x300",
             netlist: random_combinational(16, 300, 5),
             patterns: random_patterns(16, 256, 3),
-            run_deductive: true,
             run_slow_baselines: true,
         },
     ];
@@ -221,21 +216,18 @@ fn roster(quick: bool) -> Vec<Workload> {
             name: "rand_20x800",
             netlist: random_combinational(20, 800, 6),
             patterns: random_patterns(20, 512, 4),
-            run_deductive: false,
             run_slow_baselines: true,
         });
         r.push(Workload {
             name: "rand_24x2000",
             netlist: random_combinational(24, 2000, 7),
             patterns: random_patterns(24, 1024, 5),
-            run_deductive: false,
             run_slow_baselines: true,
         });
         r.push(Workload {
             name: "rand_28x6000",
             netlist: random_combinational(28, 6000, 8),
             patterns: random_patterns(28, 1024, 6),
-            run_deductive: false,
             run_slow_baselines: false,
         });
     }
@@ -430,10 +422,6 @@ fn main() -> ExitCode {
         let mut engines: Vec<&dyn FaultSimEngine> = vec![&serial];
         if w.run_slow_baselines {
             engines.push(&serial_nodrop);
-            engines.push(&ParallelFaultEngine);
-        }
-        if w.run_deductive {
-            engines.push(&DeductiveEngine);
         }
         engines.push(&ppsfp);
 
@@ -739,66 +727,102 @@ fn main() -> ExitCode {
     ExitCode::from(ToolExit::Success)
 }
 
-/// Fails the run (exit 1) against a committed `BENCH_fault_sim.json` if
-/// the engines stopped agreeing, if any shared (circuit, engine)
-/// record's detected count changed (the detected *set* is a pure
-/// function of circuit + patterns, both seed-fixed, so any drift is a
-/// semantic regression), or if such a record's `fault_patterns_per_sec`
-/// fell below half its baseline (throughput cliff). The throughput
-/// check only applies where the baseline measured ≥ 10 ms — below that
-/// the numbers are timer noise. Records absent from the baseline (new
-/// rungs, `--quick` subsets) are skipped.
+/// Fails the run (exit 1) against a committed `BENCH_fault_sim.json`
+/// when [`fault_sim_regressions`] finds a regression or cannot read the
+/// baseline.
 fn check_fault_sim_baseline(path: &str, records: &[Record], all_agree: bool) {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read fault-sim baseline {path}: {e}"));
-    let mut failed = false;
+        .unwrap_or_else(|e| bad_baseline(path, &format!("cannot read: {e}")));
+    let regressions =
+        fault_sim_regressions(&text, records, all_agree).unwrap_or_else(|e| bad_baseline(path, &e));
+    for what in &regressions {
+        eprintln!("BASELINE REGRESSION: {what}");
+    }
+    if !regressions.is_empty() {
+        std::process::exit(1);
+    }
+    eprintln!("fault-sim baseline gate passed against {path}");
+}
+
+/// Compares this run's fault-sim `records` against a baseline
+/// `BENCH_fault_sim.json` text, parsed with `dft-json`, and returns one
+/// line per regression: the engines stopped agreeing, a shared (circuit,
+/// engine) record's detected count changed (the detected *set* is a pure
+/// function of circuit + patterns, both seed-fixed, so any drift is a
+/// semantic regression), or such a record's `fault_patterns_per_sec`
+/// fell below half its baseline (throughput cliff). The throughput check
+/// only applies where the baseline measured ≥ 10 ms — below that the
+/// numbers are timer noise. Records absent from the baseline (new rungs,
+/// `--quick` subsets) are skipped.
+///
+/// # Errors
+///
+/// The baseline is not JSON, has no `records` array, or one of its
+/// records lacks `circuit`, `engine`, `detected`, `seconds` or
+/// `fault_patterns_per_sec`.
+fn fault_sim_regressions(
+    text: &str,
+    records: &[Record],
+    all_agree: bool,
+) -> Result<Vec<String>, String> {
+    use dft_json::Value;
+    let doc = dft_json::parse(text).map_err(|e| format!("malformed JSON: {e}"))?;
+    let rows = doc
+        .get("records")
+        .and_then(Value::as_array)
+        .ok_or("no records array")?;
+    let mut baseline = Vec::with_capacity(rows.len());
+    for row in rows {
+        let missing = |key: &str| format!("record {} lacks a valid {key}", row.to_compact());
+        let text_of = |key| {
+            row.get(key)
+                .and_then(Value::as_str)
+                .ok_or_else(|| missing(key))
+        };
+        let number_of = |key| {
+            row.get(key)
+                .and_then(Value::as_f64)
+                .ok_or_else(|| missing(key))
+        };
+        baseline.push((
+            text_of("circuit")?,
+            text_of("engine")?,
+            number_of("detected")?,
+            number_of("seconds")?,
+            number_of("fault_patterns_per_sec")?,
+        ));
+    }
+    let mut regressions = Vec::new();
     if !all_agree {
-        eprintln!("BASELINE REGRESSION: detected fault sets disagree across engines");
-        failed = true;
+        regressions.push("detected fault sets disagree across engines".to_owned());
     }
     for r in records {
-        let needle = format!(
-            "\"circuit\": \"{}\", \"engine\": \"{}\"",
-            r.circuit, r.engine
-        );
-        let Some(at) = text.find(&needle) else {
+        let Some(&(_, _, base_detected, base_seconds, base_fps)) = baseline
+            .iter()
+            .find(|b| b.0 == r.circuit && b.1 == r.engine)
+        else {
             eprintln!(
                 "fault-sim baseline gate: {}/{} not in baseline, skipped",
                 r.circuit, r.engine
             );
             continue;
         };
-        let base_detected: usize = extract_after(&text, at, "\"detected\":")
-            .and_then(|v| v.parse().ok())
-            .expect("baseline record has detected");
-        let base_seconds: f64 = extract_after(&text, at, "\"seconds\":")
-            .and_then(|v| v.parse().ok())
-            .expect("baseline record has seconds");
-        let base_fps: f64 = extract_after(&text, at, "\"fault_patterns_per_sec\":")
-            .and_then(|v| v.parse().ok())
-            .expect("baseline record has fault_patterns_per_sec");
-        if r.detected != base_detected {
-            eprintln!(
-                "BASELINE REGRESSION: {}/{} detected {} != baseline {}",
-                r.circuit, r.engine, r.detected, base_detected
-            );
-            failed = true;
+        if r.detected as f64 != base_detected {
+            regressions.push(format!(
+                "{}/{} detected {} != baseline {base_detected}",
+                r.circuit, r.engine, r.detected
+            ));
         }
         if base_seconds >= 0.01 && r.fault_patterns_per_sec() < 0.5 * base_fps {
-            eprintln!(
-                "BASELINE REGRESSION: {}/{} fault_patterns_per_sec {:.0} < half of baseline {:.0}",
+            regressions.push(format!(
+                "{}/{} fault_patterns_per_sec {:.0} < half of baseline {base_fps:.0}",
                 r.circuit,
                 r.engine,
-                r.fault_patterns_per_sec(),
-                base_fps
-            );
-            failed = true;
+                r.fault_patterns_per_sec()
+            ));
         }
     }
-    if failed {
-        std::process::exit(1);
-    }
-    eprintln!("fault-sim baseline gate passed against {path}");
+    Ok(regressions)
 }
 
 /// One circuit's incremental-analysis (ECO) measurement: mean seconds
@@ -1148,15 +1172,6 @@ fn flow_scaling_bench(quick: bool) -> FlowScaling {
         identical,
         speedup,
     }
-}
-
-/// Extracts the number following `key` in `text`, searching from
-/// `from`. Returns the value slice trimmed of JSON punctuation.
-fn extract_after<'t>(text: &'t str, from: usize, key: &str) -> Option<&'t str> {
-    let at = text[from..].find(key)? + from + key.len();
-    let rest = &text[at..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
 }
 
 /// Reports a baseline that cannot be read as intended and exits 1.
@@ -1619,4 +1634,74 @@ fn to_json(
     }
     s.push_str("  ]\n}\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const COMMITTED: &str = include_str!("../../../../BENCH_fault_sim.json");
+
+    /// Records matching two committed rows (c17 below the 10 ms timing
+    /// floor, rand_16x300/serial above it) plus one the baseline lacks.
+    fn records(c17_detected: usize) -> Vec<Record> {
+        let record = |circuit, engine, gates, faults, patterns, seconds, detected| Record {
+            circuit,
+            engine,
+            gates,
+            faults,
+            patterns,
+            blocks: patterns.div_ceil(64),
+            seconds,
+            detected,
+        };
+        vec![
+            record("c17", "serial", 11, 46, 32, 0.000_024, c17_detected),
+            record("rand_16x300", "serial", 316, 2250, 256, 0.041, 1428),
+            record("rand_16x300", "no_such_engine", 316, 2250, 256, 0.041, 1428),
+        ]
+    }
+
+    #[test]
+    fn committed_baseline_passes() {
+        assert_eq!(
+            fault_sim_regressions(COMMITTED, &records(46), true),
+            Ok(vec![])
+        );
+    }
+
+    #[test]
+    fn truncated_baseline_is_an_error() {
+        let truncated = &COMMITTED[..COMMITTED.len() / 2];
+        assert!(fault_sim_regressions(truncated, &records(46), true).is_err());
+    }
+
+    #[test]
+    fn record_missing_a_key_is_an_error() {
+        for key in ["detected", "seconds", "fault_patterns_per_sec"] {
+            // Rename the key in the last committed record only, which no
+            // run record matches: the baseline is still malformed.
+            let records_end = COMMITTED.find("\"speedup_ppsfp_vs_serial\"").unwrap();
+            let needle = format!("\"{key}\":");
+            let at = COMMITTED[..records_end].rfind(&needle).unwrap();
+            let rest = &COMMITTED[at + needle.len()..];
+            let broken = format!("{}\"renamed\":{rest}", &COMMITTED[..at]);
+            let err = fault_sim_regressions(&broken, &records(46), true).unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
+        }
+    }
+
+    #[test]
+    fn drifted_detected_count_regresses() {
+        let regressions = fault_sim_regressions(COMMITTED, &records(45), true).unwrap();
+        assert_eq!(regressions, ["c17/serial detected 45 != baseline 46"]);
+    }
+
+    #[test]
+    fn throughput_cliff_and_disagreement_regress() {
+        let mut slow = records(46);
+        slow[1].seconds = 1.0;
+        let regressions = fault_sim_regressions(COMMITTED, &slow, false).unwrap();
+        assert_eq!(regressions.len(), 2, "{regressions:?}");
+    }
 }

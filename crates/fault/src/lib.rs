@@ -14,11 +14,8 @@
 //!   fault-equivalencing reference \[36\]-\[47\]) cutting the universe
 //!   roughly in half.
 //! * [`simulate`] / [`simulate_with_dropping`] — pattern-parallel single-
-//!   fault simulation (64 patterns per word).
-//! * [`parallel_fault`] — classic parallel-fault simulation (63 faulty
-//!   machines share each word with the good machine).
-//! * [`deductive`] — deductive fault simulation (the paper's reference
-//!   \[100\]): one pass per pattern propagating fault *lists*.
+//!   fault simulation (64 patterns per word), the reference every other
+//!   engine is checked against.
 //! * [`sequential`] — three-valued serial fault simulation across clock
 //!   cycles for un-scanned sequential machines.
 //! * [`ppsfp`] — parallel-pattern single-fault propagation: 64 patterns
@@ -26,10 +23,10 @@
 //!   event propagation, fault dropping, and multi-threaded fault
 //!   partitioning. The fast engine for large fault-grading workloads.
 //!
-//! The [`FaultSimEngine`] trait ([`engines`] returns the full roster)
-//! puts all of them behind one interface; the engines are cross-checked
-//! against each other in this crate's tests (they must agree exactly on
-//! combinational circuits).
+//! The [`FaultSimEngine`] trait ([`engines`] returns the roster: serial,
+//! sequential and PPSFP) puts the three engines behind one interface;
+//! they are cross-checked against each other in this crate's tests (they
+//! must agree exactly on combinational circuits).
 //!
 //! ```
 //! use dft_netlist::circuits::c17;
@@ -51,14 +48,11 @@
 #![forbid(unsafe_code)]
 
 mod collapse;
-mod concurrent;
-mod deductive;
 mod dictionary;
 mod engine;
 #[allow(clippy::module_inception)]
 mod fault;
 mod inject;
-mod parallel;
 mod ppsfp;
 mod prefilter;
 mod sequential;
@@ -67,16 +61,10 @@ pub mod stream;
 mod stuck_open;
 
 pub use collapse::{collapse, dominance_collapse, Collapse, DominanceCollapse};
-pub use concurrent::{sequential_concurrent, sequential_concurrent_observed, ConcurrentStats};
-pub use deductive::{deductive, deductive_observed};
 pub use dictionary::FaultDictionary;
-pub use engine::{
-    engines, ConcurrentEngine, DeductiveEngine, FaultSimEngine, ParallelFaultEngine, PpsfpEngine,
-    SequentialEngine, SerialEngine,
-};
+pub use engine::{engines, FaultSimEngine, PpsfpEngine, SequentialEngine, SerialEngine};
 pub use fault::{output_faults, universe, Fault};
 pub use inject::FaultyView;
-pub use parallel::{parallel_fault, parallel_fault_observed};
 pub use ppsfp::{ppsfp, ppsfp_observed, ppsfp_with_options, Ppsfp, PpsfpOptions};
 pub use prefilter::{prefilter_untestable, prefilter_with, Prefilter};
 pub use sequential::{sequential, sequential_observed, SequentialDetection};

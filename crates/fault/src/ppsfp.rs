@@ -1,14 +1,14 @@
 //! PPSFP: parallel-pattern single-fault propagation.
 //!
-//! The high-throughput fault-grading engine. Where the classic parallel
-//! method ([`crate::parallel_fault`]) packs 63 faulty *machines* per word
-//! under one pattern, PPSFP packs **many patterns per wide block under
-//! one fault** — the dual layout — and then refuses to do almost all of
-//! the work a naive engine would:
+//! The high-throughput fault-grading engine. Where classic parallel-fault
+//! simulation packs 63 faulty *machines* per word under one pattern,
+//! PPSFP packs **many patterns per wide block under one fault** — the
+//! dual layout — and then refuses to do almost all of the work a naive
+//! engine would:
 //!
 //! * **Compiled kernel.** Good-machine responses come from the flat
 //!   SoA/CSR [`Kernel`](dft_sim::Kernel) shared with
-//!   [`CompiledSim`](dft_sim::CompiledSim), evaluated once per pattern
+//!   [`ParallelSim`](dft_sim::ParallelSim), evaluated once per pattern
 //!   block and cached for every gate (not just the outputs).
 //! * **Wide words.** Blocks are `[u64; W]` wide words carrying `64 × W`
 //!   patterns (`W` = 1/4/8 → 64/256/512 lanes, the [`LaneWidth`] knob;

@@ -11,9 +11,6 @@
 //!   never look at later patterns (dropping is optional here, see
 //!   [`SerialOptions`] — the result is identical either way, only the
 //!   work changes);
-//! * [`crate::deductive`] computes the *complete* per-pattern detection
-//!   relation as a by-product of its fault-list algebra and then reduces
-//!   it to first detection (see the note in `deductive.rs`);
 //! * [`crate::FaultDictionary`] is the consumer that genuinely needs
 //!   **all** detections — every `(pattern, output)` mismatch — so it is
 //!   built from [`crate::Ppsfp::run_syndromes`], which never drops.

@@ -4,11 +4,10 @@
 //! specification — fault *f* is detected by pattern *p* iff some primary
 //! output differs between the good machine and the machine with *f*
 //! injected — so on random levelizable netlists they must produce
-//! identical answers. The combinational engines (serial, parallel-fault,
-//! deductive, PPSFP) must agree on the full [`DetectionResult`]
-//! (first-detecting pattern per fault); the two cycle-based engines
-//! (sequential, concurrent) are run on the pattern set as a cycle
-//! sequence and must agree on the *detected set* (their per-cycle
+//! identical answers. The combinational engines (serial, PPSFP) must
+//! agree on the full [`DetectionResult`] (first-detecting pattern per
+//! fault); the cycle-based sequential engine is run on the pattern set as
+//! a cycle sequence and must agree on the *detected set* (its per-cycle
 //! first-detection coincides on combinational netlists too, which the
 //! property also checks).
 
@@ -25,7 +24,7 @@ use rand::SeedableRng;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// All six engines agree on random combinational netlists.
+    /// All engines agree on random combinational netlists.
     #[test]
     fn all_engines_agree_on_random_netlists(
         inputs in 4usize..10,

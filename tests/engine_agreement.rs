@@ -4,7 +4,7 @@
 //! would have to be made identically in two unrelated code paths.
 
 use design_for_testability::atpg::{dalg, podem, DalgConfig, GenOutcome, PodemConfig};
-use design_for_testability::fault::{deductive, parallel_fault, simulate, universe};
+use design_for_testability::fault::{ppsfp, simulate, universe, FaultSimEngine, SequentialEngine};
 use design_for_testability::netlist::circuits::{random_combinational, sn74181};
 use design_for_testability::sim::{EventSim, Logic, ParallelSim, PatternSet};
 use rand::rngs::StdRng;
@@ -18,10 +18,12 @@ fn fault_sim_engines_agree_on_the_alu() {
     let mut rng = StdRng::seed_from_u64(8);
     let patterns = PatternSet::random(14, 48, &mut rng);
     let a = simulate(&alu, &patterns, &faults).expect("combinational");
-    let b = parallel_fault(&alu, &patterns, &faults).expect("combinational");
-    let c = deductive(&alu, &patterns, &faults).expect("combinational");
-    assert_eq!(a, b, "pattern-parallel vs parallel-fault");
-    assert_eq!(a, c, "pattern-parallel vs deductive");
+    let b = ppsfp(&alu, &patterns, &faults).expect("combinational");
+    let c = SequentialEngine
+        .run(&alu, &patterns, &faults)
+        .expect("combinational");
+    assert_eq!(a, b, "pattern-parallel vs PPSFP");
+    assert_eq!(a, c, "pattern-parallel vs sequential");
 }
 
 /// Event-driven and compiled parallel simulation agree on random logic.
