@@ -17,7 +17,7 @@ use dft_fault::Fault;
 use dft_implic::ImplicationEngine;
 use dft_netlist::{GateId, GateKind, LevelizeError, Netlist, Pin, PortRef};
 use dft_obs::{Collector, Obs};
-use dft_sim::justify::forced_inputs;
+use dft_sim::justify::for_each_forced_input;
 use dft_sim::Logic;
 
 use crate::podem::{GenOutcome, PodemConfig, SolveStats, TestCube};
@@ -183,16 +183,19 @@ fn dalg_search<'n>(
 
     let mut necessity: Vec<(usize, bool)> = Vec::new();
     if let Some(engine) = implic {
-        if engine
+        // The verdict leaves the excitation literal's closure in the
+        // scratch; the necessity list is read off that same closure.
+        let mut scratch = engine.scratch();
+        if scratch
             .fault_untestable(fault.site.gate, fault.site.pin, fault.stuck)
             .is_some()
         {
             return Ok((GenOutcome::Untestable, stats));
         }
-        necessity = engine
-            .query(activation, !fault.stuck)
-            .implied
-            .iter()
+        necessity = scratch
+            .assume(activation, !fault.stuck)
+            .expect("an excitable fault's literal is consistent")
+            .implied()
             .map(|l| (l.net.index(), l.value))
             .collect();
     }
@@ -641,10 +644,11 @@ fn backward_forced(
 ) -> Vec<(GateId, Logic)> {
     let gate = netlist.gate(id);
     let ins: Vec<Logic> = gate.inputs().iter().map(|&s| good[s.index()]).collect();
-    forced_inputs(gate.kind(), out, &ins)
-        .into_iter()
-        .map(|(pin, v)| (gate.inputs()[pin], v))
-        .collect()
+    let mut forced = Vec::new();
+    for_each_forced_input(gate.kind(), out, &ins, |pin, v| {
+        forced.push((gate.inputs()[pin], Logic::from(v)));
+    });
+    forced
 }
 
 /// Enumerates the input assignments that justify `out` at a gate of

@@ -447,7 +447,10 @@ impl<'n> Podem<'n> {
         let (Some(engine), [f]) = (&self.implic, sites) else {
             return Ok(&[]);
         };
-        if engine
+        // The verdict leaves the excitation literal's closure in the
+        // scratch; the necessity list is read off that same closure.
+        let mut scratch = engine.scratch();
+        if scratch
             .fault_untestable(f.site.gate, f.site.pin, f.stuck)
             .is_some()
         {
@@ -456,9 +459,10 @@ impl<'n> Podem<'n> {
         let activation = self.activation(*f);
         let literal = 2 * activation.index() + usize::from(!f.stuck);
         Ok(self.necessity[literal].get_or_init(|| {
-            let q = engine.query(activation, !f.stuck);
-            q.implied
-                .iter()
+            scratch
+                .assume(activation, !f.stuck)
+                .expect("an excitable fault's literal is consistent")
+                .implied()
                 .map(|l| (index_u32(l.net), l.value))
                 .collect()
         }))

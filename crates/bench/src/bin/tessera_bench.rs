@@ -48,7 +48,10 @@
 //! against a committed `BENCH_fault_sim.json`: exit 1 if any engine's
 //! detected count changed on a shared (circuit, engine) record, if the
 //! engines stopped agreeing, or if a non-trivially-timed record's
-//! `fault_patterns_per_sec` fell below half its baseline value.
+//! `fault_patterns_per_sec` fell below half its baseline value. Both
+//! baselines are read before anything is written, so a baseline path that
+//! is also an output path (the defaults are the committed names) still
+//! gates against the committed numbers.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -84,7 +87,8 @@ USAGE:
 With --format json the text tables are suppressed and stdout carries one
 tessera/1 envelope whose payload is the fault-sim benchmark JSON,
 byte-identical to what --out writes. The BENCH_*.json artifacts are
-written either way.
+written either way. The --atpg-baseline and --fault-sim-baseline files
+are read before any artifact is written.
 
 --scale SPEC (repeatable) adds an industrial-scale ingest rung: SPEC is
 any circuit the resolver accepts, typically a layered generator spec
@@ -128,7 +132,7 @@ impl Config {
     }
 }
 
-fn parse_args() -> Result<Option<Config>, String> {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Config>, String> {
     let mut cfg = Config {
         quick: false,
         format: Format::Text,
@@ -143,7 +147,6 @@ fn parse_args() -> Result<Option<Config>, String> {
         no_scale: false,
         bytes_ceiling: None,
     };
-    let mut args = std::env::args().skip(1);
     let value = |flag: &str, args: &mut dyn Iterator<Item = String>| {
         args.next().ok_or_else(|| format!("{flag} expects a value"))
     };
@@ -393,7 +396,7 @@ fn time_engine(
 }
 
 fn main() -> ExitCode {
-    let cfg = match parse_args() {
+    let cfg = match parse_args(std::env::args().skip(1)) {
         Ok(Some(cfg)) => cfg,
         Ok(None) => return ExitCode::from(ToolExit::Success),
         Err(msg) => {
@@ -402,6 +405,7 @@ fn main() -> ExitCode {
             return ExitCode::from(ToolExit::Usage);
         }
     };
+    let baselines = Baselines::read(&cfg).unwrap_or_else(|(path, e)| bad_baseline(&path, &e));
     let text = cfg.format == Format::Text;
     let ppsfp = PpsfpEngine {
         options: PpsfpOptions::new()
@@ -711,12 +715,12 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = &cfg.atpg_baseline {
-        check_atpg_baseline(path, cfg.quick, &atpg, &scaling);
+    if let Some(baseline) = &baselines.atpg {
+        check_atpg_baseline(baseline, cfg.quick, &atpg, &scaling);
     }
 
-    if let Some(path) = &cfg.fault_sim_baseline {
-        check_fault_sim_baseline(path, &records, all_agree);
+    if let Some(baseline) = &baselines.fault_sim {
+        check_fault_sim_baseline(baseline, &records, all_agree);
     }
 
     if cfg.format == Format::Json {
@@ -727,14 +731,50 @@ fn main() -> ExitCode {
     ExitCode::from(ToolExit::Success)
 }
 
+/// One baseline file, as it was before the run wrote anything.
+struct Baseline {
+    path: String,
+    text: String,
+}
+
+/// The `--atpg-baseline` and `--fault-sim-baseline` files, read into
+/// memory before any artifact is written. The default `--out` and
+/// `--atpg-out` are the committed baseline names, so a baseline read
+/// after the artifacts were written would be this run's own output, and
+/// the gate would compare the run with itself.
+struct Baselines {
+    atpg: Option<Baseline>,
+    fault_sim: Option<Baseline>,
+}
+
+impl Baselines {
+    /// Reads both named files; `Err((path, why))` if one cannot be read.
+    fn read(cfg: &Config) -> Result<Self, (String, String)> {
+        let read = |path: &Option<String>| {
+            path.as_ref()
+                .map(|path| match std::fs::read_to_string(path) {
+                    Ok(text) => Ok(Baseline {
+                        path: path.clone(),
+                        text,
+                    }),
+                    Err(e) => Err((path.clone(), format!("cannot read: {e}"))),
+                })
+                .transpose()
+        };
+        Ok(Baselines {
+            atpg: read(&cfg.atpg_baseline)?,
+            fault_sim: read(&cfg.fault_sim_baseline)?,
+        })
+    }
+}
+
 /// Fails the run (exit 1) against a committed `BENCH_fault_sim.json`
-/// when [`fault_sim_regressions`] finds a regression or cannot read the
+/// when [`fault_sim_regressions`] finds a regression or cannot parse the
 /// baseline.
-fn check_fault_sim_baseline(path: &str, records: &[Record], all_agree: bool) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| bad_baseline(path, &format!("cannot read: {e}")));
-    let regressions =
-        fault_sim_regressions(&text, records, all_agree).unwrap_or_else(|e| bad_baseline(path, &e));
+fn check_fault_sim_baseline(baseline: &Baseline, records: &[Record], all_agree: bool) {
+    let path = &baseline.path;
+    let regressions = fault_sim_regressions(&baseline.text, records, all_agree)
+        .unwrap_or_else(|e| bad_baseline(path, &e));
     for what in &regressions {
         eprintln!("BASELINE REGRESSION: {what}");
     }
@@ -1189,10 +1229,14 @@ fn bad_baseline(path: &str, what: &str) -> ! {
 /// tolerance (+2 patterns, -0.001 coverage). Circuits absent from the
 /// baseline (e.g. a full-roster circuit vs a `--quick` baseline) are
 /// skipped.
-fn check_atpg_baseline(path: &str, quick: bool, atpg: &[AtpgRecord], scaling: &FlowScaling) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| bad_baseline(path, &format!("cannot read: {e}")));
-    let doc = dft_json::parse(&text)
+fn check_atpg_baseline(
+    baseline: &Baseline,
+    quick: bool,
+    atpg: &[AtpgRecord],
+    scaling: &FlowScaling,
+) {
+    let path = baseline.path.as_str();
+    let doc = dft_json::parse(&baseline.text)
         .unwrap_or_else(|e| bad_baseline(path, &format!("malformed JSON: {e}")));
     let rows = |key: &str| -> &[dft_json::Value] {
         doc.get(key)
@@ -1695,6 +1739,38 @@ mod tests {
     fn drifted_detected_count_regresses() {
         let regressions = fault_sim_regressions(COMMITTED, &records(45), true).unwrap();
         assert_eq!(regressions, ["c17/serial detected 45 != baseline 46"]);
+    }
+
+    #[test]
+    fn baselines_are_held_before_the_artifacts_overwrite_them() {
+        let args = |a: &[&str]| {
+            parse_args(a.iter().map(|s| (*s).to_owned()))
+                .unwrap()
+                .unwrap()
+        };
+        // The default artifact is the committed baseline's name.
+        let cfg = args(&["--fault-sim-baseline", "BENCH_fault_sim.json"]);
+        assert_eq!(Some(&cfg.out), cfg.fault_sim_baseline.as_ref());
+
+        let dir = std::env::temp_dir().join(format!("tessera-bench-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_fault_sim.json");
+        let path = path.to_str().unwrap();
+        std::fs::write(path, COMMITTED).unwrap();
+        let cfg = args(&["--out", path, "--fault-sim-baseline", path]);
+        let baselines = Baselines::read(&cfg).unwrap();
+        // The run's artifact lands on the baseline's path...
+        std::fs::write(&cfg.out, r#"{"records":[]}"#).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        // ...but the gate still compares against the committed rows.
+        let held = baselines.fault_sim.unwrap();
+        assert_eq!(
+            fault_sim_regressions(&held.text, &records(45), true).unwrap(),
+            ["c17/serial detected 45 != baseline 46"]
+        );
+        assert!(baselines.atpg.is_none());
+        let missing = args(&["--atpg-baseline", path]);
+        assert_eq!(Baselines::read(&missing).err().unwrap().0, path);
     }
 
     #[test]

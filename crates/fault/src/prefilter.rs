@@ -16,7 +16,7 @@
 //! still cost a full search to refute.
 
 use dft_implic::{ImplicationEngine, UntestableReason};
-use dft_netlist::Netlist;
+use dft_netlist::{GateId, Netlist};
 
 use crate::Fault;
 
@@ -121,12 +121,27 @@ pub fn prefilter_untestable(netlist: &Netlist, faults: &[Fault]) -> Prefilter {
 
 /// Like [`prefilter_untestable`], reusing an existing engine (learning is
 /// the expensive part; amortize it across consumers).
+///
+/// Faults are visited grouped by excitation literal, so each literal's
+/// implication closure is propagated once however many faults share it;
+/// the verdicts come back in `faults` order.
 #[must_use]
 pub fn prefilter_with(engine: &ImplicationEngine<'_>, faults: &[Fault]) -> Prefilter {
-    let verdicts = faults
+    let mut order: Vec<(GateId, bool, usize)> = faults
         .iter()
-        .map(|f| engine.fault_untestable(f.site.gate, f.site.pin, f.stuck))
+        .enumerate()
+        .map(|(i, f)| {
+            let l = engine.excitation(f.site.gate, f.site.pin, f.stuck);
+            (l.net, l.value, i)
+        })
         .collect();
+    order.sort_unstable();
+    let mut scratch = engine.scratch();
+    let mut verdicts: Vec<Option<UntestableReason>> = vec![None; faults.len()];
+    for (_, _, i) in order {
+        let f = faults[i];
+        verdicts[i] = scratch.fault_untestable(f.site.gate, f.site.pin, f.stuck);
+    }
     Prefilter {
         faults: faults.to_vec(),
         verdicts,

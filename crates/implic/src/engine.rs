@@ -14,8 +14,8 @@
 //!
 //! * forward gate evaluation ([`Logic::eval_gate`] — monotone in the
 //!   Kleene order, so known consequences of known premises are exact);
-//! * backward justification ([`forced_inputs`] — necessary conditions
-//!   only, never choices);
+//! * backward justification ([`for_each_forced_input`] — necessary
+//!   conditions only, never choices);
 //! * learned edges, applied only when **both** endpoints are *definite*
 //!   nets (no storage element anywhere in the transitive fanin cone).
 //!   Definite nets evaluate to a known value under every complete
@@ -29,7 +29,7 @@
 
 use dft_netlist::{GateId, GateKind, Netlist};
 use dft_obs::{Collector, Obs};
-use dft_sim::justify::forced_inputs;
+use dft_sim::justify::for_each_forced_input;
 use dft_sim::Logic;
 
 /// One signed net: the assertion `net = value`.
@@ -139,6 +139,7 @@ impl Implications {
 
 /// Reusable event-driven propagation scratch (epoch-stamped so repeated
 /// runs need no clearing).
+#[derive(Debug)]
 struct Prop {
     val: Vec<Logic>,
     stamp: Vec<u32>,
@@ -173,10 +174,68 @@ impl Prop {
     }
 }
 
+/// The netlist in flat arrays — gate kinds plus fan-in and fan-out CSR
+/// (one fan-out entry per reading pin, in `Netlist::fanout_map` order)
+/// — so propagation never goes through the netlist's gate views.
+#[derive(Debug)]
+pub(crate) struct Graph {
+    pub(crate) kind: Vec<GateKind>,
+    fanin_off: Vec<u32>,
+    fanin: Vec<u32>,
+    fanout_off: Vec<u32>,
+    fanout: Vec<u32>,
+}
+
+impl Graph {
+    fn new(netlist: &Netlist) -> Self {
+        let n = netlist.gate_count();
+        let mut kind = Vec::with_capacity(n);
+        let mut fanin_off = Vec::with_capacity(n + 1);
+        let mut fanin = Vec::new();
+        let mut readers = vec![0u32; n + 1];
+        fanin_off.push(0);
+        for (_, gate) in netlist.iter() {
+            kind.push(gate.kind());
+            for &s in gate.inputs() {
+                fanin.push(s.index() as u32);
+                readers[s.index() + 1] += 1;
+            }
+            fanin_off.push(fanin.len() as u32);
+        }
+        for i in 0..n {
+            readers[i + 1] += readers[i];
+        }
+        let mut next = readers.clone();
+        let mut fanout = vec![0u32; fanin.len()];
+        for g in 0..n {
+            for &s in &fanin[fanin_off[g] as usize..fanin_off[g + 1] as usize] {
+                fanout[next[s as usize] as usize] = g as u32;
+                next[s as usize] += 1;
+            }
+        }
+        Graph {
+            kind,
+            fanin_off,
+            fanin,
+            fanout_off: readers,
+            fanout,
+        }
+    }
+
+    /// The nets driving gate `g`'s input pins, in pin order.
+    pub(crate) fn fanin(&self, g: usize) -> &[u32] {
+        &self.fanin[self.fanin_off[g] as usize..self.fanin_off[g + 1] as usize]
+    }
+
+    /// The gates reading net `g`, once per reading pin.
+    pub(crate) fn fanout(&self, g: usize) -> &[u32] {
+        &self.fanout[self.fanout_off[g] as usize..self.fanout_off[g + 1] as usize]
+    }
+}
+
 /// Borrowed view of everything propagation reads.
 struct Ctx<'a> {
-    netlist: &'a Netlist,
-    fanout: &'a [Vec<(GateId, u8)>],
+    graph: &'a Graph,
     fixed: &'a [Logic],
     definite: &'a [bool],
     learned: &'a [Vec<Literal>],
@@ -222,7 +281,7 @@ fn drain(ctx: &Ctx<'_>, prop: &mut Prop) -> Result<(), GateId> {
             }
             // State is never controllable in the combinational view: a
             // required known value on a Dff output is a contradiction.
-            if ctx.netlist.gate(GateId::from_index(i)).kind() == GateKind::Dff {
+            if ctx.graph.kind[i] == GateKind::Dff {
                 return Err(GateId::from_index(i));
             }
             prop.val[i] = Logic::from(v);
@@ -232,8 +291,8 @@ fn drain(ctx: &Ctx<'_>, prop: &mut Prop) -> Result<(), GateId> {
                 prop.queued[i] = prop.epoch;
                 prop.gates.push(i as u32);
             }
-            for &(reader, _) in &ctx.fanout[i] {
-                let r = reader.index();
+            for &r in ctx.graph.fanout(i) {
+                let r = r as usize;
                 if prop.queued[r] != prop.epoch {
                     prop.queued[r] = prop.epoch;
                     prop.gates.push(r as u32);
@@ -250,8 +309,7 @@ fn drain(ctx: &Ctx<'_>, prop: &mut Prop) -> Result<(), GateId> {
         };
         let gi = g as usize;
         prop.queued[gi] = 0;
-        let gate = ctx.netlist.gate(GateId::from_index(gi));
-        let kind = gate.kind();
+        let kind = ctx.graph.kind[gi];
         if kind.is_source() {
             match kind {
                 GateKind::Const0 => prop.pending.push((g, false)),
@@ -260,9 +318,10 @@ fn drain(ctx: &Ctx<'_>, prop: &mut Prop) -> Result<(), GateId> {
             }
             continue;
         }
+        let inputs = ctx.graph.fanin(gi);
         prop.ins.clear();
-        for &s in gate.inputs() {
-            let v = prop.get(ctx.fixed, s.index());
+        for &s in inputs {
+            let v = prop.get(ctx.fixed, s as usize);
             prop.ins.push(v);
         }
         let out = Logic::eval_gate(kind, &prop.ins);
@@ -270,13 +329,26 @@ fn drain(ctx: &Ctx<'_>, prop: &mut Prop) -> Result<(), GateId> {
             prop.pending.push((g, b));
         }
         if let Some(ob) = prop.get(ctx.fixed, gi).to_bool() {
-            for (pin, fv) in forced_inputs(kind, ob, &prop.ins) {
-                let src = gate.inputs()[pin];
-                let fb = fv.to_bool().expect("forced values are known");
-                prop.pending.push((src.index() as u32, fb));
-            }
+            let pending = &mut prop.pending;
+            for_each_forced_input(kind, ob, &prop.ins, |pin, v| {
+                pending.push((inputs[pin], v));
+            });
         }
     }
+}
+
+/// The indices of the set bits of a bit row, ascending.
+fn set_bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + b
+            })
+        })
+    })
 }
 
 /// A static implication engine over one netlist: direct implications,
@@ -285,7 +357,7 @@ fn drain(ctx: &Ctx<'_>, prop: &mut Prop) -> Result<(), GateId> {
 #[derive(Debug)]
 pub struct ImplicationEngine<'n> {
     netlist: &'n Netlist,
-    pub(crate) fanout: Vec<Vec<(GateId, u8)>>,
+    pub(crate) graph: Graph,
     pub(crate) is_po: Vec<bool>,
     definite: Vec<bool>,
     fixed: Vec<Logic>,
@@ -340,7 +412,7 @@ impl<'n> ImplicationEngine<'n> {
 
     fn build(netlist: &'n Netlist, options: ImplicOptions) -> Self {
         let n = netlist.gate_count();
-        let fanout = netlist.fanout_map();
+        let graph = Graph::new(netlist);
         let mut is_po = vec![false; n];
         for &(g, _) in netlist.primary_outputs() {
             is_po[g.index()] = true;
@@ -348,25 +420,26 @@ impl<'n> ImplicationEngine<'n> {
 
         // Non-definite nets: anything downstream of a storage element.
         let mut definite = vec![true; n];
-        let mut stack: Vec<GateId> = Vec::new();
-        for (id, gate) in netlist.iter() {
-            if gate.kind().is_storage() {
-                definite[id.index()] = false;
-                stack.push(id);
+        let mut stack: Vec<usize> = Vec::new();
+        for (g, kind) in graph.kind.iter().enumerate() {
+            if kind.is_storage() {
+                definite[g] = false;
+                stack.push(g);
             }
         }
         while let Some(g) = stack.pop() {
-            for &(reader, _) in &fanout[g.index()] {
-                if definite[reader.index()] {
-                    definite[reader.index()] = false;
-                    stack.push(reader);
+            for &r in graph.fanout(g) {
+                let r = r as usize;
+                if definite[r] {
+                    definite[r] = false;
+                    stack.push(r);
                 }
             }
         }
 
         let mut engine = ImplicationEngine {
             netlist,
-            fanout,
+            graph,
             is_po,
             definite,
             fixed: vec![Logic::X; n],
@@ -381,10 +454,10 @@ impl<'n> ImplicationEngine<'n> {
         engine.seed_structural_constants(&mut prop);
 
         // Dff outputs are never settable in the combinational view.
-        for (id, gate) in netlist.iter() {
-            if gate.kind().is_storage() {
-                engine.unsettable[id.index() * 2] = true;
-                engine.unsettable[id.index() * 2 + 1] = true;
+        for g in 0..n {
+            if engine.graph.kind[g].is_storage() {
+                engine.unsettable[g * 2] = true;
+                engine.unsettable[g * 2 + 1] = true;
             }
         }
 
@@ -402,8 +475,7 @@ impl<'n> ImplicationEngine<'n> {
 
     fn ctx(&self) -> Ctx<'_> {
         Ctx {
-            netlist: self.netlist,
-            fanout: &self.fanout,
+            graph: &self.graph,
             fixed: &self.fixed,
             definite: &self.definite,
             learned: &self.learned,
@@ -411,13 +483,6 @@ impl<'n> ImplicationEngine<'n> {
     }
 
     fn seed_structural_constants(&mut self, prop: &mut Prop) {
-        let ctx = Ctx {
-            netlist: self.netlist,
-            fanout: &self.fanout,
-            fixed: &self.fixed,
-            definite: &self.definite,
-            learned: &self.learned,
-        };
         begin_epoch(prop);
         for i in 0..self.netlist.gate_count() {
             prop.queued[i] = prop.epoch;
@@ -425,7 +490,7 @@ impl<'n> ImplicationEngine<'n> {
         }
         // No seed: a conflict is impossible, every derived value is a
         // true constant of the network.
-        if drain(&ctx, prop).is_ok() {
+        if drain(&self.ctx(), prop).is_ok() {
             for &i in &prop.trail {
                 self.fixed[i as usize] = prop.val[i as usize];
             }
@@ -434,19 +499,13 @@ impl<'n> ImplicationEngine<'n> {
 
     /// Records a freshly-proven constant `net = value` and folds its
     /// full implication closure (forward *and* backward) into the
-    /// defaults.
+    /// defaults, leaving the nets it fixed on `prop.trail`.
     fn add_constant(&mut self, prop: &mut Prop, net: usize, value: bool) {
         if self.fixed[net].is_known() {
+            prop.trail.clear();
             return;
         }
-        let ctx = Ctx {
-            netlist: self.netlist,
-            fanout: &self.fanout,
-            fixed: &self.fixed,
-            definite: &self.definite,
-            learned: &self.learned,
-        };
-        if propagate(&ctx, prop, &[(net as u32, value)]).is_ok() {
+        if propagate(&self.ctx(), prop, &[(net as u32, value)]).is_ok() {
             for &i in &prop.trail {
                 self.fixed[i as usize] = prop.val[i as usize];
             }
@@ -454,6 +513,8 @@ impl<'n> ImplicationEngine<'n> {
             // Both polarities contradict — only reachable on degenerate
             // inputs; record the single fact and move on.
             self.fixed[net] = Logic::from(value);
+            prop.trail.clear();
+            prop.trail.push(net as u32);
         }
     }
 
@@ -466,18 +527,34 @@ impl<'n> ImplicationEngine<'n> {
         // harvesting unsettables and implied constants. Rounds 1..:
         // additionally contrapose the implication rows into learned
         // edges and go again, now propagating *through* them.
-        for round in 0..=rounds {
-            let mut rows: Vec<u64> = if round < rounds {
-                vec![0; nlit * words]
-            } else {
-                Vec::new()
-            };
-            let mut row_valid = vec![false; nlit];
+        //
+        // Rounds after the first are incremental. A propagation whose
+        // row (the literals it assigned) is S reads the learned edges of
+        // S and the defaults (`fixed`) of S, its readers, and the inputs
+        // of both. If none of those changed since the row was taken, it
+        // would come out identical (same bits, same order), so the row
+        // is kept instead of propagated. `clock` counts the changes;
+        // `touched[t]` is the clock of the last one a propagation
+        // assigning literal `t` could see.
+        let mut rows: Vec<u64> = if rounds > 0 {
+            vec![0; nlit * words]
+        } else {
+            Vec::new()
+        };
+        let mut row_valid = vec![false; nlit];
+        // Rows propagated (not kept) this round.
+        let mut fresh = vec![false; nlit];
+        let mut clock = 0u32;
+        let mut taken = vec![0u32; nlit];
+        let mut touched = vec![0u32; nlit];
 
+        for round in 0..=rounds {
             for lit in 0..nlit {
                 let net = lit / 2;
                 let value = lit % 2 == 1;
+                fresh[lit] = false;
                 if self.unsettable[lit] {
+                    row_valid[lit] = false;
                     continue;
                 }
                 if let Some(c) = self.fixed[net].to_bool() {
@@ -485,26 +562,35 @@ impl<'n> ImplicationEngine<'n> {
                         self.unsettable[lit] = true;
                     }
                     // Constant literals imply nothing worth learning.
+                    row_valid[lit] = false;
                     continue;
                 }
-                let ctx = Ctx {
-                    netlist: self.netlist,
-                    fanout: &self.fanout,
-                    fixed: &self.fixed,
-                    definite: &self.definite,
-                    learned: &self.learned,
-                };
-                match propagate(&ctx, prop, &[(net as u32, value)]) {
+                let row = lit * words..(lit + 1) * words;
+                if round > 0
+                    && row_valid[lit]
+                    && set_bits(&rows[row.clone()]).all(|t| touched[t] <= taken[lit])
+                {
+                    continue;
+                }
+                match propagate(&self.ctx(), prop, &[(net as u32, value)]) {
                     Err(_) => {
                         self.unsettable[lit] = true;
+                        row_valid[lit] = false;
                         if self.definite[net] {
                             self.add_constant(prop, net, !value);
+                            clock += 1;
+                            for &c in &prop.trail {
+                                self.touch_readers_of(c as usize, &mut touched, clock);
+                            }
                         }
                     }
                     Ok(()) => {
                         if round < rounds {
                             row_valid[lit] = true;
-                            let row = &mut rows[lit * words..(lit + 1) * words];
+                            fresh[lit] = true;
+                            taken[lit] = clock;
+                            let row = &mut rows[row];
+                            row.fill(0);
                             for &i in &prop.trail {
                                 let t = i as usize * 2
                                     + usize::from(prop.val[i as usize] == Logic::One);
@@ -521,7 +607,11 @@ impl<'n> ImplicationEngine<'n> {
             // Contrapose: L → M learns ¬M → ¬L, kept only when it is
             // *indirect* (¬M's own row does not already contain ¬L) and
             // both endpoints are definite nets (see the module docs for
-            // why the contrapositive needs that).
+            // why the contrapositive needs that). A pair whose two rows
+            // were both kept was decided at an earlier contraposition
+            // from the same bits, so it is skipped: it could only find
+            // an edge already learned.
+            clock += 1;
             let mut added = 0usize;
             for lit in 0..nlit {
                 if !row_valid[lit] {
@@ -531,40 +621,58 @@ impl<'n> ImplicationEngine<'n> {
                 if !self.definite[src.net.index()] {
                     continue;
                 }
-                for w in 0..words {
-                    let mut bits = rows[lit * words + w];
-                    while bits != 0 {
-                        let b = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let m = w * 64 + b;
-                        if m == lit {
-                            continue;
-                        }
-                        let tgt = Literal::from_index(m);
-                        if !self.definite[tgt.net.index()] {
-                            continue;
-                        }
-                        let not_m = m ^ 1;
-                        let not_l = lit ^ 1;
-                        if !row_valid[not_m] {
-                            continue; // premise unsettable or constant
-                        }
-                        if rows[not_m * words + not_l / 64] & (1 << (not_l % 64)) != 0 {
-                            continue; // already directly derivable
-                        }
-                        let edge = Literal::from_index(not_l);
-                        if self.learned[not_m].contains(&edge) {
-                            continue;
-                        }
-                        self.learned[not_m].push(edge);
-                        added += 1;
+                for m in set_bits(&rows[lit * words..(lit + 1) * words]) {
+                    if m == lit {
+                        continue;
                     }
+                    let tgt = Literal::from_index(m);
+                    if !self.definite[tgt.net.index()] {
+                        continue;
+                    }
+                    let not_m = m ^ 1;
+                    let not_l = lit ^ 1;
+                    if !row_valid[not_m] {
+                        continue; // premise unsettable or constant
+                    }
+                    if !fresh[lit] && !fresh[not_m] {
+                        continue; // decided from these rows before
+                    }
+                    if rows[not_m * words + not_l / 64] & (1 << (not_l % 64)) != 0 {
+                        continue; // already directly derivable
+                    }
+                    let edge = Literal::from_index(not_l);
+                    if self.learned[not_m].contains(&edge) {
+                        continue;
+                    }
+                    self.learned[not_m].push(edge);
+                    touched[not_m] = clock;
+                    added += 1;
                 }
             }
             self.stats.rounds = round + 1;
             self.stats.learned_edges += added;
             if added == 0 {
                 break;
+            }
+        }
+    }
+
+    /// Marks, at `clock`, both literals of every net whose propagation
+    /// reads the default of net `c`: `c` itself, its inputs, its
+    /// readers, and the other inputs of its readers.
+    fn touch_readers_of(&self, c: usize, touched: &mut [u32], clock: u32) {
+        let mut touch = |t: u32| {
+            touched[t as usize * 2] = clock;
+            touched[t as usize * 2 + 1] = clock;
+        };
+        touch(c as u32);
+        for &t in self.graph.fanin(c) {
+            touch(t);
+        }
+        for &r in self.graph.fanout(c) {
+            touch(r);
+            for &t in self.graph.fanin(r as usize) {
+                touch(t);
             }
         }
     }
@@ -614,41 +722,144 @@ impl<'n> ImplicationEngine<'n> {
     /// Propagates `net = value` through the direct rules, the global
     /// constants and the learned store, returning every forced
     /// assignment — or the conflict proving the literal unsettable.
+    ///
+    /// A one-off query; for many, keep one [`ImplicationEngine::scratch`]
+    /// and call [`Scratch::assume`].
     #[must_use]
     pub fn query(&self, net: GateId, value: bool) -> Implications {
-        let mut prop = Prop::new(self.netlist.gate_count());
-        let ctx = self.ctx();
-        match propagate(&ctx, &mut prop, &[(net.index() as u32, value)]) {
+        match self.scratch().assume(net, value) {
             Err(conflict) => Implications {
                 conflict: Some(conflict),
                 implied: Vec::new(),
             },
-            Ok(()) => Implications {
+            Ok(closure) => Implications {
                 conflict: None,
-                implied: prop
-                    .trail
-                    .iter()
-                    .map(|&i| Literal {
-                        net: GateId::from_index(i as usize),
-                        value: prop.val[i as usize] == Logic::One,
-                    })
-                    .collect(),
+                implied: closure.implied().collect(),
             },
         }
     }
 
-    /// Like [`ImplicationEngine::query`], but returns the full
-    /// per-net value map (globally-constant nets included) — the form
-    /// the observability analysis consumes.
-    pub(crate) fn query_values(&self, net: GateId, value: bool) -> Result<Vec<Logic>, GateId> {
-        let mut prop = Prop::new(self.netlist.gate_count());
-        let ctx = self.ctx();
-        propagate(&ctx, &mut prop, &[(net.index() as u32, value)])?;
-        let mut vals = self.fixed.clone();
-        for &i in &prop.trail {
-            vals[i as usize] = prop.val[i as usize];
+    /// Working memory for a batch of queries against this engine.
+    #[must_use]
+    pub fn scratch(&self) -> Scratch<'_, 'n> {
+        let n = self.netlist.gate_count();
+        Scratch {
+            engine: self,
+            prop: Prop::new(n),
+            held: None,
+            cone: Marks::new(n),
+            cone_origin: None,
+            reach: Marks::new(n),
+            stack: Vec::new(),
         }
-        Ok(vals)
+    }
+}
+
+/// An epoch-stamped set of gate indices: clearing is O(1).
+#[derive(Debug)]
+pub(crate) struct Marks {
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl Marks {
+    fn new(n: usize) -> Self {
+        Marks {
+            stamp: vec![0; n],
+            epoch: 1,
+        }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Adds `i`; `false` if it was already present.
+    pub(crate) fn insert(&mut self, i: usize) -> bool {
+        let fresh = self.stamp[i] != self.epoch;
+        self.stamp[i] = self.epoch;
+        fresh
+    }
+
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        self.stamp[i] == self.epoch
+    }
+}
+
+/// Caller-owned working memory for queries against one
+/// [`ImplicationEngine`].
+///
+/// Every buffer is epoch-stamped, so a query costs work in proportion to
+/// the nets it touches, not to the netlist. The scratch also keeps the
+/// closure of the last literal it propagated: asking about that literal
+/// again — the next fault with the same excitation literal — reuses the
+/// closure instead of propagating it again. Answers never depend on what
+/// the scratch was asked before.
+#[derive(Debug)]
+pub struct Scratch<'e, 'n> {
+    pub(crate) engine: &'e ImplicationEngine<'n>,
+    prop: Prop,
+    /// The literal (`2·net + value`) whose closure `prop` holds, and
+    /// how its propagation ended.
+    held: Option<(usize, Result<(), GateId>)>,
+    /// The structural fanout cone of `cone_origin`.
+    pub(crate) cone: Marks,
+    pub(crate) cone_origin: Option<usize>,
+    pub(crate) reach: Marks,
+    pub(crate) stack: Vec<u32>,
+}
+
+impl Scratch<'_, '_> {
+    /// Propagates `net = value` (see [`ImplicationEngine::query`]), or
+    /// reuses the held closure if it is of the same literal. `Err`
+    /// names the net where the closure contradicted itself.
+    ///
+    /// # Errors
+    ///
+    /// Returns the conflict net when the literal is unsettable.
+    pub fn assume(&mut self, net: GateId, value: bool) -> Result<Closure<'_>, GateId> {
+        let lit = net.index() * 2 + usize::from(value);
+        let outcome = match self.held {
+            Some((held, outcome)) if held == lit => outcome,
+            _ => {
+                let outcome = propagate(
+                    &self.engine.ctx(),
+                    &mut self.prop,
+                    &[(net.index() as u32, value)],
+                );
+                self.held = Some((lit, outcome));
+                outcome
+            }
+        };
+        outcome.map(|()| Closure { prop: &self.prop })
+    }
+
+    /// `net`'s value under the held (consistent) closure.
+    pub(crate) fn held_value(&self, net: usize) -> Logic {
+        self.prop.get(&self.engine.fixed, net)
+    }
+}
+
+/// The implication closure of one consistent literal, held in a
+/// [`Scratch`].
+#[derive(Debug)]
+pub struct Closure<'s> {
+    prop: &'s Prop,
+}
+
+impl Closure<'_> {
+    /// Every `net = value` fact forced by the literal (the literal
+    /// itself included), beyond the globally-constant nets, in the order
+    /// propagation derived them.
+    pub fn implied(&self) -> impl Iterator<Item = Literal> + '_ {
+        self.prop.trail.iter().map(|&i| Literal {
+            net: GateId::from_index(i as usize),
+            value: self.prop.val[i as usize] == Logic::One,
+        })
     }
 }
 

@@ -12,7 +12,8 @@
 //!
 //! * **Direct implications** come straight from gate semantics in three-
 //!   valued logic (an AND output at 1 forces every input to 1 — the same
-//!   [`dft_sim::justify::forced_inputs`] tables the D-algorithm uses).
+//!   [`dft_sim::justify::for_each_forced_input`] tables the D-algorithm
+//!   uses).
 //! * **Indirect implications** are learned by *assign–propagate–
 //!   contrapose*: tentatively assert net = v, propagate to a fixpoint,
 //!   and for every consequence record the contrapositive. Whatever the
@@ -62,5 +63,7 @@
 mod engine;
 mod untestable;
 
-pub use engine::{ImplicOptions, ImplicationEngine, Implications, LearnStats, Literal};
+pub use engine::{
+    Closure, ImplicOptions, ImplicationEngine, Implications, LearnStats, Literal, Scratch,
+};
 pub use untestable::UntestableReason;

@@ -26,7 +26,7 @@
 use dft_netlist::{GateId, GateKind, Pin};
 use dft_sim::Logic;
 
-use crate::engine::ImplicationEngine;
+use crate::engine::{ImplicationEngine, Literal, Scratch};
 
 /// Why a fault is statically untestable (the diagnostic witness carried
 /// into lint findings and prefilter reports).
@@ -92,6 +92,11 @@ impl ImplicationEngine<'_> {
     /// Statically decides whether the stuck-at-`stuck` fault at
     /// `(gate, pin)` is untestable. `None` means "not provably
     /// untestable" — search may still refute it.
+    ///
+    /// A one-off verdict; for many faults, keep one
+    /// [`ImplicationEngine::scratch`] and call
+    /// [`Scratch::fault_untestable`], visiting faults that share an
+    /// [`ImplicationEngine::excitation`] literal one after another.
     #[must_use]
     pub fn fault_untestable(
         &self,
@@ -99,134 +104,145 @@ impl ImplicationEngine<'_> {
         pin: Pin,
         stuck: bool,
     ) -> Option<UntestableReason> {
-        let required = !stuck;
-        match pin {
-            Pin::Output => {
-                let vals = match self.excite(gate, required) {
-                    Ok(v) => v,
-                    Err(r) => return Some(r),
-                };
-                if self.unobservable_from(gate, &vals) {
-                    return Some(UntestableReason::Unobservable { origin: gate });
-                }
-                None
-            }
-            Pin::Input(p) => {
-                let reader = self.netlist().gate(gate);
-                let driver = reader.inputs()[p as usize];
-                let vals = match self.excite(driver, required) {
-                    Ok(v) => v,
-                    Err(r) => return Some(r),
-                };
-                // The effect lives on one pin wire: it must first pass
-                // `gate` itself. Side pins read the *unfaulted* nets, so
-                // they are "outside the cone" by construction (the
-                // netlist is acyclic), including other pins fed by
-                // `driver`.
-                if reader.kind().is_storage()
-                    || (0..reader.fanin())
-                        .filter(|&q| q != p as usize)
-                        .any(|q| self.side_blocks(reader.kind(), reader.inputs()[q], &vals))
-                {
-                    return Some(UntestableReason::Unobservable { origin: gate });
-                }
-                if self.unobservable_from(gate, &vals) {
-                    return Some(UntestableReason::Unobservable { origin: gate });
-                }
-                None
-            }
-        }
+        self.scratch().fault_untestable(gate, pin, stuck)
     }
 
-    /// Implied value map under the excitation assumption, or the reason
-    /// excitation is impossible.
-    fn excite(&self, net: GateId, required: bool) -> Result<Vec<Logic>, UntestableReason> {
-        if self.is_unsettable(net, required) {
-            // Re-derive the conflict witness (storage outputs and
-            // implied constants conflict at the net itself).
-            let conflict = self.query(net, required).conflict.unwrap_or(net);
-            return Err(UntestableReason::Unexcitable {
+    /// The literal exciting the stuck-at-`stuck` fault at `(gate, pin)`:
+    /// its activation net (the gate output, or the net driving the pin)
+    /// at the complement of the stuck value.
+    #[must_use]
+    pub fn excitation(&self, gate: GateId, pin: Pin, stuck: bool) -> Literal {
+        let net = match pin {
+            Pin::Output => gate,
+            Pin::Input(p) => {
+                GateId::from_index(self.graph.fanin(gate.index())[p as usize] as usize)
+            }
+        };
+        Literal { net, value: !stuck }
+    }
+}
+
+impl Scratch<'_, '_> {
+    /// [`ImplicationEngine::fault_untestable`] in this scratch: the
+    /// excitation literal's closure is propagated once and reused by
+    /// every following fault with the same literal.
+    #[must_use]
+    pub fn fault_untestable(
+        &mut self,
+        gate: GateId,
+        pin: Pin,
+        stuck: bool,
+    ) -> Option<UntestableReason> {
+        let engine = self.engine;
+        let Literal { net, value } = engine.excitation(gate, pin, stuck);
+        let conflict = match self.assume(net, value) {
+            Err(conflict) => Some(conflict),
+            // Storage outputs and implied constants conflict at the net
+            // itself.
+            Ok(_) if engine.is_unsettable(net, value) => Some(net),
+            Ok(_) => None,
+        };
+        if let Some(conflict) = conflict {
+            return Some(UntestableReason::Unexcitable {
                 net,
-                required,
+                required: value,
                 conflict,
             });
         }
-        match self.query_values(net, required) {
-            Ok(vals) => Ok(vals),
-            Err(conflict) => Err(UntestableReason::Unexcitable {
-                net,
-                required,
-                conflict,
-            }),
+        let g = gate.index();
+        if let Pin::Input(p) = pin {
+            // The effect lives on one pin wire: it must first pass
+            // `gate` itself. Side pins read the *unfaulted* nets, so
+            // they are "outside the cone" by construction (the netlist
+            // is acyclic), including other pins fed by the same net.
+            let kind = engine.graph.kind[g];
+            let inputs = engine.graph.fanin(g);
+            if kind.is_storage()
+                || (0..inputs.len())
+                    .filter(|&q| q != p as usize)
+                    .any(|q| self.side_blocks(kind, inputs[q] as usize))
+            {
+                return Some(UntestableReason::Unobservable { origin: gate });
+            }
         }
+        self.unobservable_from(g)
+            .then_some(UntestableReason::Unobservable { origin: gate })
     }
 
     /// Whether a side input provably kills fault-effect passage through
-    /// a gate of `kind`: implied to the controlling value (output equal
-    /// in both machines), or an uncontrollable storage output (`X` in
-    /// both machines — no *known* difference can emerge, and the
-    /// combinational test view requires one).
-    fn side_blocks(&self, kind: GateKind, side: GateId, vals: &[Logic]) -> bool {
-        if self.netlist().gate(side).kind().is_storage() {
-            return true;
-        }
-        match kind.controlling_value() {
-            Some(c) => vals[side.index()] == Logic::from(c),
-            None => false,
-        }
+    /// a gate of `kind` under the held closure: implied to the
+    /// controlling value (output equal in both machines), or an
+    /// uncontrollable storage output (`X` in both machines — no *known*
+    /// difference can emerge, and the combinational test view requires
+    /// one).
+    fn side_blocks(&self, kind: GateKind, side: usize) -> bool {
+        self.engine.graph.kind[side].is_storage()
+            || kind
+                .controlling_value()
+                .is_some_and(|c| self.held_value(side) == Logic::from(c))
     }
 
-    /// BFS over the fanout cone of `origin`: can the fault effect
+    /// Search over the fanout cone of `origin`: can the fault effect
     /// possibly reach a primary output, given the values implied by the
-    /// excitation assumption? Conservative in the sound direction —
+    /// held excitation closure? Conservative in the sound direction —
     /// `true` only when every path is provably cut.
-    fn unobservable_from(&self, origin: GateId, vals: &[Logic]) -> bool {
-        let n = self.netlist().gate_count();
-        // The structural cone the effect could live in (effects die at
-        // storage elements in the combinational view). Side inputs from
-        // inside the cone may themselves carry the effect, so only
-        // out-of-cone side values can block.
-        let mut cone = vec![false; n];
-        cone[origin.index()] = true;
-        let mut stack = vec![origin];
-        while let Some(g) = stack.pop() {
-            for &(reader, _) in &self.fanout[g.index()] {
-                let r = reader.index();
-                if !cone[r] && !self.netlist().gate(reader).kind().is_storage() {
-                    cone[r] = true;
-                    stack.push(reader);
-                }
-            }
-        }
-
-        let mut reach = vec![false; n];
-        reach[origin.index()] = true;
-        let mut stack = vec![origin];
-        while let Some(g) = stack.pop() {
-            if self.is_po[g.index()] {
+    fn unobservable_from(&mut self, origin: usize) -> bool {
+        let engine = self.engine;
+        let graph = &engine.graph;
+        self.reach.clear();
+        self.reach.insert(origin);
+        self.stack.clear();
+        self.stack.push(origin as u32);
+        while let Some(g) = self.stack.pop() {
+            let g = g as usize;
+            if engine.is_po[g] {
                 return false;
             }
-            for &(reader, _) in &self.fanout[g.index()] {
-                let r = reader.index();
-                if reach[r] {
+            for &r in graph.fanout(g) {
+                let r = r as usize;
+                let kind = graph.kind[r];
+                if self.reach.contains(r) || kind.is_storage() {
                     continue;
                 }
-                let gate = self.netlist().gate(reader);
-                if gate.kind().is_storage() {
-                    continue;
+                let blocked = graph.fanin(r).iter().any(|&s| {
+                    let s = s as usize;
+                    self.side_blocks(kind, s) && !self.in_cone(origin, s)
+                });
+                if !blocked {
+                    self.reach.insert(r);
+                    self.stack.push(r as u32);
                 }
-                let blocked = gate
-                    .inputs()
-                    .iter()
-                    .any(|&s| !cone[s.index()] && self.side_blocks(gate.kind(), s, vals));
-                if blocked {
-                    continue;
-                }
-                reach[r] = true;
-                stack.push(reader);
             }
         }
         true
+    }
+
+    /// Whether `net` lies in the structural fanout cone of `origin`
+    /// (effects die at storage elements in the combinational view). Side
+    /// inputs from inside the cone may themselves carry the effect, so
+    /// only out-of-cone side values can block. The cone depends on the
+    /// origin alone: it is built on first need and kept for the next
+    /// fault on the same gate.
+    fn in_cone(&mut self, origin: usize, net: usize) -> bool {
+        if self.cone_origin != Some(origin) {
+            let graph = &self.engine.graph;
+            self.cone.clear();
+            self.cone.insert(origin);
+            // Walk above whatever the caller keeps on the stack.
+            let base = self.stack.len();
+            self.stack.push(origin as u32);
+            while self.stack.len() > base {
+                let g = self.stack.pop().expect("above base") as usize;
+                for &r in graph.fanout(g) {
+                    let r = r as usize;
+                    if !graph.kind[r].is_storage() && self.cone.insert(r) {
+                        self.stack.push(r as u32);
+                    }
+                }
+            }
+            self.cone_origin = Some(origin);
+        }
+        self.cone.contains(net)
     }
 }
 

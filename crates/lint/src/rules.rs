@@ -648,6 +648,7 @@ impl Rule for RedundantLogic {
         let Some(engine) = ctx.implications() else {
             return;
         };
+        let mut scratch = engine.scratch();
         for (id, gate) in ctx.netlist().iter() {
             if gate.kind().is_source() {
                 continue;
@@ -658,7 +659,7 @@ impl Rule for RedundantLogic {
             let all_untestable = pins.iter().all(|&pin| {
                 [false, true]
                     .iter()
-                    .all(|&stuck| match engine.fault_untestable(id, pin, stuck) {
+                    .all(|&stuck| match scratch.fault_untestable(id, pin, stuck) {
                         Some(reason) => {
                             witness = Some(reason);
                             true
@@ -720,6 +721,7 @@ impl Rule for ConstantImpliedNet {
         let (Some(engine), Some(constants)) = (ctx.implications(), ctx.constants()) else {
             return;
         };
+        let mut scratch = engine.scratch();
         for (id, gate) in ctx.netlist().iter() {
             if gate.kind().is_source() || constants[id.index()].is_known() {
                 continue;
@@ -729,7 +731,7 @@ impl Rule for ConstantImpliedNet {
             };
             // The implication witness: driving the net to the opposite
             // value contradicts itself somewhere — name that somewhere.
-            let conflict = engine.query(id, !v).conflict;
+            let conflict = scratch.assume(id, !v).err();
             let value = v;
             let v = u8::from(v);
             let mut diag = Diagnostic::new(

@@ -196,6 +196,9 @@ pub fn repair_observed(
     let mut applied_keys: Vec<String> = Vec::new();
     let mut records: Vec<RepairRecord> = Vec::new();
     let mut counters = PlanCounters::default();
+    // `current`'s static measures: measured once up front, then the
+    // round winner's, as ranking measured it.
+    let mut current_static: Option<StaticBaseline> = None;
 
     for round in 1..=options.max_rounds {
         obs.enter("repair.round");
@@ -217,8 +220,9 @@ pub fn repair_observed(
         }
 
         obs.enter("repair.rank");
-        let static_baseline =
-            StaticBaseline::measure(&current).expect("current netlist levelized at baseline");
+        let static_baseline = *current_static.get_or_insert_with(|| {
+            StaticBaseline::measure(&current).expect("current netlist levelized at baseline")
+        });
         counters.ranked += candidates.len();
         let (ranked, pruned) =
             rank_candidates(&current, static_baseline, candidates, options.top_k);
@@ -235,7 +239,7 @@ pub fn repair_observed(
         obs.count("repair.candidates.verified", ranked.len() as u64);
         // Verify in rank order; the accepted candidate with the best
         // measured coverage wins the round (first in rank order on ties).
-        let mut round_records: Vec<(RepairRecord, Netlist)> = Vec::new();
+        let mut round_records: Vec<(RepairRecord, Netlist, StaticBaseline)> = Vec::new();
         for rc in ranked {
             let after = measure_coverage(
                 &rc.edited.netlist,
@@ -266,6 +270,7 @@ pub fn repair_observed(
                     accepted: verdict.accepted,
                 },
                 rc.edited.netlist,
+                rc.after,
             ));
         }
         obs.exit();
@@ -273,8 +278,8 @@ pub fn repair_observed(
         let winner = round_records
             .iter()
             .enumerate()
-            .filter(|(_, (r, _))| r.accepted)
-            .max_by(|(ia, (a, _)), (ib, (b, _))| {
+            .filter(|(_, (r, _, _))| r.accepted)
+            .max_by(|(ia, (a, _, _)), (ib, (b, _, _))| {
                 a.after
                     .coverage
                     .partial_cmp(&b.after.coverage)
@@ -285,7 +290,7 @@ pub fn repair_observed(
 
         match winner {
             Some(i) => {
-                for (j, (mut record, netlist)) in round_records.into_iter().enumerate() {
+                for (j, (mut record, netlist, after)) in round_records.into_iter().enumerate() {
                     // Only the applied repair counts as accepted in the
                     // plan; a passing runner-up is re-considered next
                     // round against the new baseline.
@@ -294,6 +299,7 @@ pub fn repair_observed(
                         applied_keys.push(record.edit.key());
                         current = netlist;
                         current_coverage = record.after;
+                        current_static = Some(after);
                     }
                     records.push(record);
                 }
@@ -301,7 +307,7 @@ pub fn repair_observed(
                 obs.count("repair.accepted", 1);
             }
             None => {
-                records.extend(round_records.into_iter().map(|(r, _)| r));
+                records.extend(round_records.into_iter().map(|(r, _, _)| r));
                 obs.exit();
                 break;
             }

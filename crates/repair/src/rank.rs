@@ -95,6 +95,9 @@ pub struct RankedCandidate {
     pub untestable_delta: i128,
     /// The integer rank score; higher is better.
     pub score: i128,
+    /// The edited netlist's static measures — the next round's baseline
+    /// if this candidate wins.
+    pub after: StaticBaseline,
 }
 
 /// Applies and scores every candidate against `baseline`, sorts best
@@ -150,6 +153,7 @@ pub fn rank_candidates(
             difficulty_delta,
             untestable_delta,
             score,
+            after,
         });
     }
     ranked.sort_by(|a, b| {

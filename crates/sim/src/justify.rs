@@ -19,7 +19,8 @@ use dft_netlist::GateKind;
 use crate::value::Logic;
 
 /// Input pins forced by a known output value, given the currently-known
-/// input values `ins` (one [`Logic`] per pin, `X` = unknown).
+/// input values `ins` (one [`Logic`] per pin, `X` = unknown): calls
+/// `force(pin, value)` for each forced pin, in ascending pin order.
 ///
 /// Rules:
 /// * `Buf`/`Not` map the output straight through (inverted for `Not`).
@@ -32,59 +33,60 @@ use crate::value::Logic;
 ///   the known output.
 ///
 /// Source gates (`Input`, `Const*`, `Dff`) force nothing.
-#[must_use]
-pub fn forced_inputs(kind: GateKind, out: bool, ins: &[Logic]) -> Vec<(usize, Logic)> {
-    let mut forced = Vec::new();
+pub fn for_each_forced_input(
+    kind: GateKind,
+    out: bool,
+    ins: &[Logic],
+    mut force: impl FnMut(usize, bool),
+) {
+    /// The single unknown pin, if exactly one pin is unknown.
+    fn lone_unknown(ins: &[Logic]) -> Option<usize> {
+        let mut unknown = ins.iter().enumerate().filter(|(_, v)| !v.is_known());
+        let (pin, _) = unknown.next()?;
+        unknown.next().is_none().then_some(pin)
+    }
     match kind {
-        GateKind::Buf => forced.push((0, Logic::from(out))),
-        GateKind::Not => forced.push((0, Logic::from(!out))),
+        GateKind::Buf => force(0, out),
+        GateKind::Not => force(0, !out),
         GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
             let c = kind.controlling_value().expect("AND/OR family");
             let controlled_out = c != kind.inverts();
             if out != controlled_out {
                 // Only the all-noncontrolling row produces this output.
                 for pin in 0..ins.len() {
-                    forced.push((pin, Logic::from(!c)));
+                    force(pin, !c);
                 }
-            } else {
+            } else if !ins.contains(&Logic::from(c)) {
                 // Some input must be controlling; forced only when all
                 // other inputs are known noncontrolling and exactly one
                 // pin remains unknown.
-                let has_c = ins.iter().any(|&v| v == Logic::from(c));
-                if !has_c {
-                    let unknown: Vec<usize> = ins
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, v)| !v.is_known())
-                        .map(|(p, _)| p)
-                        .collect();
-                    if unknown.len() == 1 {
-                        forced.push((unknown[0], Logic::from(c)));
-                    }
+                if let Some(pin) = lone_unknown(ins) {
+                    force(pin, c);
                 }
             }
         }
         GateKind::Xor | GateKind::Xnor => {
-            let mut parity = out != (kind == GateKind::Xnor);
-            let mut unknown = Vec::new();
-            for (p, v) in ins.iter().enumerate() {
-                match v.to_bool() {
-                    Some(b) => parity ^= b,
-                    None => unknown.push(p),
-                }
-            }
-            if unknown.len() == 1 {
-                forced.push((unknown[0], Logic::from(parity)));
+            if let Some(pin) = lone_unknown(ins) {
+                let parity = ins
+                    .iter()
+                    .filter_map(|v| v.to_bool())
+                    .fold(out != (kind == GateKind::Xnor), |p, b| p ^ b);
+                force(pin, parity);
             }
         }
         GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff => {}
     }
-    forced
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn forced_inputs(kind: GateKind, out: bool, ins: &[Logic]) -> Vec<(usize, Logic)> {
+        let mut forced = Vec::new();
+        for_each_forced_input(kind, out, ins, |pin, v| forced.push((pin, Logic::from(v))));
+        forced
+    }
 
     #[test]
     fn and_family_noncontrolled_forces_all_pins() {
